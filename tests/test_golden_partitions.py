@@ -1,0 +1,236 @@
+"""Golden partitions: the SHA-256 of every partition on a fixed grid of
+(pipeline, table, k, t) cells, stored from a reference run. A change that
+moves any record to another cluster, or reorders the clusters, fails here.
+
+Each digest covers the clusters in partition order, each as its size followed
+by its ascending member indices (little-endian int64). The stored table is
+printed by
+
+    PYTHONPATH=src python tests/test_golden_partitions.py
+
+and should only be regenerated for a change that means to alter partitions.
+"""
+
+import functools
+import hashlib
+
+import numpy as np
+import pytest
+
+from tcmicro import (
+    AttributeSpec,
+    Role,
+    SynthConfig,
+    Table,
+    mdav_partition,
+    minmax_params,
+    run_kfirst_algorithm,
+    run_merge_algorithm,
+    run_tfirst_algorithm,
+    synth_generate,
+)
+
+PIPELINES = {
+    "merge": run_merge_algorithm,
+    "kfirst": run_kfirst_algorithm,
+    "tfirst": run_tfirst_algorithm,
+}
+GRID_K = (2, 5)
+GRID_T = (0.05, 0.2)
+N_EQUALS_K_T = 0.2
+
+SPECS = (
+    AttributeSpec("a", Role.QUASI_IDENTIFIER),
+    AttributeSpec("b", Role.QUASI_IDENTIFIER),
+    AttributeSpec("s", Role.CONFIDENTIAL),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def tables() -> dict:
+    out = {}
+    for seed in (1, 2):
+        for n in (37, 300):
+            cfg = SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed)
+            out[f"synth-s{seed}-n{n}"] = synth_generate(cfg)
+    rng = np.random.default_rng(5)
+    # 16 distinct QI points and 5 confidential values over 60 records
+    ties = np.column_stack([rng.integers(0, 4, (60, 2)), rng.integers(0, 5, 60)])
+    out["ties"] = Table(SPECS, ties.astype(float))
+    const = rng.uniform(0, 10, (50, 3))
+    const[:, 1] = 3.0
+    out["const-qi"] = Table(SPECS, const)
+    out["dup-rows"] = Table(SPECS, np.tile(rng.uniform(-5, 5, (15, 3)), (4, 1)))
+    return out
+
+
+def cells() -> list[str]:
+    out = []
+    for name, table in tables().items():
+        for k in GRID_K + (table.n,):
+            out.append(f"mdav/{name}/k{k}")
+            for t in GRID_T if k < table.n else (N_EQUALS_K_T,):
+                out.extend(f"{p}/{name}/k{k}/t{t}" for p in PIPELINES)
+    return out
+
+
+def digest(partition) -> str:
+    h = hashlib.sha256()
+    for cluster in partition.clusters:
+        h.update(np.int64(len(cluster)).tobytes())
+        h.update(cluster.members.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def partition_of(cell: str):
+    pipeline, name, k, *t = cell.split("/")
+    table, k = tables()[name], int(k[1:])
+    if pipeline == "mdav":
+        return mdav_partition(table, minmax_params(table), k)
+    return PIPELINES[pipeline](table, k, float(t[0][1:]))[1]
+
+
+GOLDEN = {
+    "mdav/synth-s1-n37/k2": "57c7a4d04b306dafc158711c100f24dd90087c0c96247d821ebd65518b9a4643",
+    "merge/synth-s1-n37/k2/t0.05": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "kfirst/synth-s1-n37/k2/t0.05": "1736a6214ef24e9146792a13a0d0e60be2af0b1efafb6b94783f90706e5d09fd",
+    "tfirst/synth-s1-n37/k2/t0.05": "a56f67dabfa37440421d69fa5691edf53fdce769986741894768a4eba501b2cc",
+    "merge/synth-s1-n37/k2/t0.2": "399845870a2046253c3bc2019efd5cc9a7f7cb4043081a6c603a3f4189e2db40",
+    "kfirst/synth-s1-n37/k2/t0.2": "040527e6ad891d6ff7cf99811bd94f5ea2821cf5ec5eeabe35d60a32f25dde52",
+    "tfirst/synth-s1-n37/k2/t0.2": "c154fe50b60327dc3f477b933b157a328dc472320049334b452725f9a688a16f",
+    "mdav/synth-s1-n37/k5": "40553fe8998447d81b1d6ba3abc98dda5d95feb83a4843f6ac0b974e48da2580",
+    "merge/synth-s1-n37/k5/t0.05": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "kfirst/synth-s1-n37/k5/t0.05": "d198505423691ecce380f499d87cbedd697252d95398c30abfe64e65597d1555",
+    "tfirst/synth-s1-n37/k5/t0.05": "a56f67dabfa37440421d69fa5691edf53fdce769986741894768a4eba501b2cc",
+    "merge/synth-s1-n37/k5/t0.2": "40553fe8998447d81b1d6ba3abc98dda5d95feb83a4843f6ac0b974e48da2580",
+    "kfirst/synth-s1-n37/k5/t0.2": "40553fe8998447d81b1d6ba3abc98dda5d95feb83a4843f6ac0b974e48da2580",
+    "tfirst/synth-s1-n37/k5/t0.2": "dbf0044e6766de5360966a5a27498fd752046c024c5260ec0bf602775e639b9a",
+    "mdav/synth-s1-n37/k37": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "merge/synth-s1-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "kfirst/synth-s1-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "tfirst/synth-s1-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "mdav/synth-s1-n300/k2": "6f04d8d0e1946ea7213f36105a03e7a4b5216ed2c10bf3e5cb029ffcf7d618e5",
+    "merge/synth-s1-n300/k2/t0.05": "5886ceb059b19ef90a6ac8a0c5da4fd2677d0ba32888d55742e4e7e33479bce4",
+    "kfirst/synth-s1-n300/k2/t0.05": "7dd9409a407922ff26af8b0e147c9387675786f1f02a65f25af46690b449f19e",
+    "tfirst/synth-s1-n300/k2/t0.05": "5d6f113e5549d2264554078f5b97dfd50ac923678967cab72d60f25abba201e1",
+    "merge/synth-s1-n300/k2/t0.2": "980138e4eccc6652e125c5b3a3a229d60f3e579e3f3474f9b37dec0c0b9e09f5",
+    "kfirst/synth-s1-n300/k2/t0.2": "dd344bf5547504fa0088a6d40e570ee645e8ebc8fde74c8480fef2cf8bca4504",
+    "tfirst/synth-s1-n300/k2/t0.2": "ace8ba9aadb68f26b27a730b0d6423ba1ffc42beb58c124f0496e56d9b27a076",
+    "mdav/synth-s1-n300/k5": "851f5bfb767dfd98c4e12920a3c98e1aa758bebbe96f1791e83330984aea35f0",
+    "merge/synth-s1-n300/k5/t0.05": "b790c5cb0de1b9f8773d993c99fe4fe5e8b93f7d7ea6c63067f838c03a746ec3",
+    "kfirst/synth-s1-n300/k5/t0.05": "9f486e9fb25f1ff04055e64e15c169a4da755ccc2642f33af17d4205941a4747",
+    "tfirst/synth-s1-n300/k5/t0.05": "5d6f113e5549d2264554078f5b97dfd50ac923678967cab72d60f25abba201e1",
+    "merge/synth-s1-n300/k5/t0.2": "d375b3cb7ac259a925bd43bab658418df8d319718c9639cf1e9d51d9694eb2ce",
+    "kfirst/synth-s1-n300/k5/t0.2": "54dd8a6c000b3966f931873fc89f4704e9d1045f9de6972befc42081bc35fa4d",
+    "tfirst/synth-s1-n300/k5/t0.2": "8429ba3c8e5877140d5942a76940da94c6a8a28ccde37a776dfb6cea53a2c4f1",
+    "mdav/synth-s1-n300/k300": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "merge/synth-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "kfirst/synth-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "tfirst/synth-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "mdav/synth-s2-n37/k2": "dd60c1df5b647e43444ea62f90b3df6648afc580f00534ab7a5addb5dc37a22c",
+    "merge/synth-s2-n37/k2/t0.05": "e96c4f8fc0292e8d19b24afcc0e35b91c60c3fdfa4b3529935d3af89362ec247",
+    "kfirst/synth-s2-n37/k2/t0.05": "0c0cf9c3dd933cb2cc768bfe1ba6d4d761a36b551185cb746172782df560d9b7",
+    "tfirst/synth-s2-n37/k2/t0.05": "dfcd6019240556c081825cff8ef71189ecabd69ea5a53f6613ae6f6b35cdca59",
+    "merge/synth-s2-n37/k2/t0.2": "5c54d9adfc2debf9276b2545e16e900042731f1166aac6a46be1a6eb73ead667",
+    "kfirst/synth-s2-n37/k2/t0.2": "89f53affd78afd5d080dc4c37d3396853b17ee10055f6fc9d024362f3465956d",
+    "tfirst/synth-s2-n37/k2/t0.2": "240fd881831bf1aaf31ad3760169c6cc6e2a5b58d014a1af4f4d29f0cdb0c6a5",
+    "mdav/synth-s2-n37/k5": "889515dc3c3087fe8102cb26bac39283dcd2d316ecc7fdc37b61578b976591ce",
+    "merge/synth-s2-n37/k5/t0.05": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "kfirst/synth-s2-n37/k5/t0.05": "9f9807c1f0c6d8e034af5d7fb611eaa8264994d2f63920c095f49139572953bf",
+    "tfirst/synth-s2-n37/k5/t0.05": "dfcd6019240556c081825cff8ef71189ecabd69ea5a53f6613ae6f6b35cdca59",
+    "merge/synth-s2-n37/k5/t0.2": "657778099f5e6119a9f08fd51a5ec3c6a7c2cf3d3cf6fa2de2b019bcb7dc124a",
+    "kfirst/synth-s2-n37/k5/t0.2": "d91eff2674eaf361ff70d4a69cc255214616be71b0b2b1029069d5c8cd1c2c59",
+    "tfirst/synth-s2-n37/k5/t0.2": "2cfffefcb4ae8eba402d27fe0240819eb3d35c85488b7c2faed60fd7f2a05166",
+    "mdav/synth-s2-n37/k37": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "merge/synth-s2-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "kfirst/synth-s2-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "tfirst/synth-s2-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
+    "mdav/synth-s2-n300/k2": "18034bb18413b66fb2db29f319d83f79ceacb233656461fab26d3335d4520d3c",
+    "merge/synth-s2-n300/k2/t0.05": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "kfirst/synth-s2-n300/k2/t0.05": "78b6266ac07927df790631912674e2b7cdac1c3e8a5cde0b37e3baadc33352f1",
+    "tfirst/synth-s2-n300/k2/t0.05": "f01f2cbd1344b494c67646a03d8eec4993a7f3673a8f16d354f438a3bf530751",
+    "merge/synth-s2-n300/k2/t0.2": "f6147376d84242e5469e6839691ed93b312d5cb2bedc29be3c5fdc28d352efc7",
+    "kfirst/synth-s2-n300/k2/t0.2": "a6e35c39884b24acd3d2b014b3a07669e848b8c3e41684bfd90f277f31945abb",
+    "tfirst/synth-s2-n300/k2/t0.2": "ea1b22af82bb7dd333583d47b6fb4159f3cdfbd2d1d946c6bf1a05528c7b8ab8",
+    "mdav/synth-s2-n300/k5": "809dbaa46f24ac12571facf61434b4f5687cb00350f05e56ed8d51469ace10eb",
+    "merge/synth-s2-n300/k5/t0.05": "94e38dd24dc0075ba0505d1077c6faa370f9295f0c1ae46db4d18597399911e1",
+    "kfirst/synth-s2-n300/k5/t0.05": "5235d881496b173f2164ab131f6fec54525e2d473fb5191ea364173cd8848bcc",
+    "tfirst/synth-s2-n300/k5/t0.05": "f01f2cbd1344b494c67646a03d8eec4993a7f3673a8f16d354f438a3bf530751",
+    "merge/synth-s2-n300/k5/t0.2": "4df11316135f1de4b8b65104ae871ffc3bd50ceb582eeac42398ff43267bd361",
+    "kfirst/synth-s2-n300/k5/t0.2": "03e7c1fc9604b9cf235bda7bcb9222da7631c8077c874af313da954dc26ece99",
+    "tfirst/synth-s2-n300/k5/t0.2": "9fc6d657e3d7d265184bbd28a357c71ce4b7ad9048983617a962a971b053be4f",
+    "mdav/synth-s2-n300/k300": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "merge/synth-s2-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "kfirst/synth-s2-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "tfirst/synth-s2-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "mdav/ties/k2": "7be72b976cbf12fe468a980a1f51bc7047916412d7ededcae50e129a81da3966",
+    "merge/ties/k2/t0.05": "9762e36200a085d7a63a8a396c7611fdb71e045278d96107e9926f47ff311498",
+    "kfirst/ties/k2/t0.05": "5d402689b5409ea0e0f45306b54fbb46f808de349894e7104ca3d9e0df48c98c",
+    "tfirst/ties/k2/t0.05": "ba616588cf35c0ba7753d7124b0254ee8372f434783aeedd6dbbc7d46a3272c2",
+    "merge/ties/k2/t0.2": "18aa5713a97c56a02fd634885a8d8b70f270de21e8b4a2cfb440b1fe28681cec",
+    "kfirst/ties/k2/t0.2": "32c2deaef54ec6a2fef62b67fa5926fb6d74cf0c6b3f3748fe62ebc8b77b8d71",
+    "tfirst/ties/k2/t0.2": "214162c649e75a0f72d1c84b9e4261f9a630a19d016f2ca349edf58855cdcbaf",
+    "mdav/ties/k5": "62e4014028569e7afaa9d4c276e323a718ce93433815284269658b677d40d630",
+    "merge/ties/k5/t0.05": "d5dd8d55301a1ff9ea9be127846befe1c6377af8e88f3719596b6f03d232b28a",
+    "kfirst/ties/k5/t0.05": "4beeb9b199d00ae9f658ba3e187f105c118106e2e75a7677798e4d338b07e9d8",
+    "tfirst/ties/k5/t0.05": "ba616588cf35c0ba7753d7124b0254ee8372f434783aeedd6dbbc7d46a3272c2",
+    "merge/ties/k5/t0.2": "a21659068806ef54d0495f71638076799d23d857ff099fac14e05ffc6e8a1a2c",
+    "kfirst/ties/k5/t0.2": "b1bc86c96f551dff387738923da101718af90a746931bae5c3eac4dc7ee3eeda",
+    "tfirst/ties/k5/t0.2": "fd6a90bb6157808780968b0779ba5b31ae16909618ab7a75055553a1458e944f",
+    "mdav/ties/k60": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "merge/ties/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "kfirst/ties/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "tfirst/ties/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "mdav/const-qi/k2": "4d99400cdf2231e26fe94e3f8b426d0de90d42c2baeb9100c9aaf99d1db3c3d1",
+    "merge/const-qi/k2/t0.05": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "kfirst/const-qi/k2/t0.05": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "tfirst/const-qi/k2/t0.05": "c7d145c626cb4a7d50d877e9085c3a5f472c8600afea290f665c7cc750d52d16",
+    "merge/const-qi/k2/t0.2": "cf44d9171f377030298261d110e05f924b0e21f94fe8568290cbd0e63bc00dc3",
+    "kfirst/const-qi/k2/t0.2": "0c1f7d916a352d8d3ed634f64f0b117fe0109f31caaef71d82253763966a09e1",
+    "tfirst/const-qi/k2/t0.2": "a8ee612381afacbbe7fdf90999f57429da37221c3cf6e6d77591611b0c53885d",
+    "mdav/const-qi/k5": "4174e09d46ff5ccd3ebfd4bb5c52894e2aa1ed0527d88624d2186c0ac38a0043",
+    "merge/const-qi/k5/t0.05": "3a9483ff13a4227d40538189b9dfb35f71b2ad630cb458d56cfdc6bf11d69640",
+    "kfirst/const-qi/k5/t0.05": "6f8b7cdd02e53c5d59f918a6444b2904871658110eb4549d7e0fd485a65613c7",
+    "tfirst/const-qi/k5/t0.05": "c7d145c626cb4a7d50d877e9085c3a5f472c8600afea290f665c7cc750d52d16",
+    "merge/const-qi/k5/t0.2": "53ed34924511554f30a32bbcacae39a67421cfec521505d72d10071d84f63e48",
+    "kfirst/const-qi/k5/t0.2": "481e223ca45bd26511495da6628768105e3bd3c15513d3de920a5c22ac66b1f5",
+    "tfirst/const-qi/k5/t0.2": "14fce5b782585f418d2db697318e9fb4e8ecab66aeff0d646a98a70f69a0baaf",
+    "mdav/const-qi/k50": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "merge/const-qi/k50/t0.2": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "kfirst/const-qi/k50/t0.2": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "tfirst/const-qi/k50/t0.2": "8653118acc059c327624129fc5fb3dba256769130658382280b6748080b8d2e4",
+    "mdav/dup-rows/k2": "7b3081ec22eabb4a7a2d3b4641b3a59e42b79d9810fd101ba0489050a7de8e02",
+    "merge/dup-rows/k2/t0.05": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "kfirst/dup-rows/k2/t0.05": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "tfirst/dup-rows/k2/t0.05": "a84c0dcfd08ad057ceb4cba121dbf837dd6e1d759a3c1118074cb2b9c5c41b24",
+    "merge/dup-rows/k2/t0.2": "ce801e41b24220c5d8f94c1709d3e04dd7e5ed4a6b4be8934139534bcb95eab4",
+    "kfirst/dup-rows/k2/t0.2": "43ab30ca4ecea94a8d3fefd30b915fe9623283273d1342b7d0626a580be920ad",
+    "tfirst/dup-rows/k2/t0.2": "39c606d60d6c1a37ccd9c19cefe8b80231d96d4a54f413130840d0483df0a68c",
+    "mdav/dup-rows/k5": "acb949ddb6113736db8ab60d32f66e6040f3d4fa6b0a6380ef1d32e14581d31b",
+    "merge/dup-rows/k5/t0.05": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "kfirst/dup-rows/k5/t0.05": "be78868927aa56155a65d0f86ab8b820b7bc83b611910684bbe850dca14498de",
+    "tfirst/dup-rows/k5/t0.05": "a84c0dcfd08ad057ceb4cba121dbf837dd6e1d759a3c1118074cb2b9c5c41b24",
+    "merge/dup-rows/k5/t0.2": "9a9468a1a1f301b05b35f09ae7fc1c45ed7069410223670c1cebf221365e665b",
+    "kfirst/dup-rows/k5/t0.2": "e4c35f914ed80654144622685db8a3a40f8435ee0c0ef5265f21c8abc2292c5a",
+    "tfirst/dup-rows/k5/t0.2": "77d62cece242915e6d6b9379e73620ee650630a1fc13fa4727b98fa3693c2c4b",
+    "mdav/dup-rows/k60": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "merge/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "kfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "tfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+}
+
+
+def test_grid_is_complete():
+    assert sorted(GOLDEN) == sorted(cells())
+
+
+@pytest.mark.parametrize("cell", cells())
+def test_partition_matches_golden(cell):
+    assert digest(partition_of(cell)) == GOLDEN[cell]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for cell in cells():
+        print(f'    "{cell}": "{digest(partition_of(cell))}",')
+    print("}")
