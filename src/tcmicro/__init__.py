@@ -5,7 +5,6 @@ synthetic-data generator and a benchmarking CLI."""
 from .dataset import (
     AnonymizedTable,
     AttributeSpec,
-    NormalizationParams,
     Role,
     SynthConfig,
     Table,
@@ -21,7 +20,6 @@ from .emd import (
     TableEmd,
     adjust_cluster_size,
     distribution_of,
-    emd_cluster_vs_table,
     emd_ordered,
     max_emd_bound,
     min_emd_bound,
@@ -30,9 +28,7 @@ from .emd import (
 from .kfirst import generate_cluster, kfirst_partition, run_kfirst_algorithm
 from .merge import merge_until_tclose, run_merge_algorithm
 from .metrics import (
-    KAnonymityCheck,
     RunReport,
-    TClosenessCheck,
     cluster_size_stats,
     normalized_sse,
     transport_oracle_emd,
@@ -46,9 +42,8 @@ from .microagg import (
     centroid,
     mdav_partition,
     normalized_qi,
-    record_distance,
 )
-from .tfirst import RankedSubsets, build_cluster, run_tfirst_algorithm, split_subsets
+from .tfirst import build_cluster, run_tfirst_algorithm, split_subsets
 
 __version__ = "0.1.0"
 
@@ -57,16 +52,12 @@ __all__ = [
     "AttributeSpec",
     "Cluster",
     "Distribution",
-    "KAnonymityCheck",
-    "NormalizationParams",
     "Partition",
-    "RankedSubsets",
     "Role",
     "RunReport",
     "SynthConfig",
     "Table",
     "TableEmd",
-    "TClosenessCheck",
     "achieved_correlation",
     "adjust_cluster_size",
     "aggregate",
@@ -74,7 +65,6 @@ __all__ = [
     "centroid",
     "cluster_size_stats",
     "distribution_of",
-    "emd_cluster_vs_table",
     "emd_ordered",
     "generate_cluster",
     "kfirst_partition",
@@ -87,7 +77,6 @@ __all__ = [
     "minmax_params",
     "normalized_qi",
     "normalized_sse",
-    "record_distance",
     "required_cluster_size",
     "run_kfirst_algorithm",
     "run_merge_algorithm",

@@ -133,6 +133,13 @@ def minmax_params(table: Table) -> NormalizationParams:
     return NormalizationParams(names, qi.min(axis=0), qi.max(axis=0))
 
 
+def _read_header(reader, path) -> list[str]:
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ValueError(f"{path}: file is empty") from None
+
+
 def load_csv(
     path: Union[str, Path],
     roles: Sequence[AttributeSpec],
@@ -150,11 +157,7 @@ def load_csv(
         raise ValueError("duplicate attribute names in roles")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         for name in header:
             if name not in by_name:
                 raise ValueError(f"unknown column '{name}': no role declared for it")
@@ -198,7 +201,7 @@ def load_anonymized_csv(path: Union[str, Path], roles: Sequence[AttributeSpec]) 
     by_name = {spec.name: spec for spec in roles}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
+        header = _read_header(reader, path)
         if not header or header[-1] != "cluster_id":
             raise ValueError(f"{path}: expected a trailing cluster_id column")
         value_cols = header[:-1]

@@ -5,6 +5,7 @@ size needed to meet a closeness threshold."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,14 +87,6 @@ class TableEmd:
         self.m = support.size
         self.table_mass = counts / table.n
 
-    def table_distribution(self) -> Distribution:
-        return Distribution(self.support, self.table_mass)
-
-    def cluster_distribution(self, members: np.ndarray) -> Distribution:
-        members = np.asarray(members)
-        counts = np.bincount(self.ranks[members], minlength=self.m)
-        return Distribution(self.support, counts / members.size)
-
     def cluster_emd(self, members: np.ndarray) -> float:
         """EMD between the cluster's confidential distribution and the whole
         table's, exactly 0 for the full table."""
@@ -107,46 +100,42 @@ class TableEmd:
         return float(np.abs(cum).sum() / (self.m - 1))
 
 
-def emd_cluster_vs_table(table: Table, cluster) -> float:
-    """EMD between a cluster's confidential values and the full table's
-    marginal, on the table's distinct-value support."""
-    members = np.asarray(getattr(cluster, "members", cluster))
-    return TableEmd(table).cluster_emd(members)
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 2 or k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n with n >= 2, got n={n}, k={k}")
+def check_params(n: int, k, tau=None) -> None:
+    """Reject a cluster size k that is not an integer in [2, n] and, when one
+    is given, a closeness level tau that is not a finite positive number."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 2 <= k <= n:
+        raise ValueError(f"need an integer k with 2 <= k <= n, got k={k!r}, n={n}")
+    if tau is not None and not (
+        isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0
+    ):
+        raise ValueError(f"tau must be a finite positive number, got {tau!r}")
 
 
 def min_emd_bound(n: int, k: int) -> float:
     """Lower bound on the EMD of any k-record cluster against an n-record
     table: (n + k)(n - k) / (4 n (n - 1) k). Tight for odd n/k when k | n."""
-    _check_nk(n, k)
+    check_params(n, k)
     return (n + k) * (n - k) / (4.0 * n * (n - 1) * k)
 
 
 def max_emd_bound(n: int, k: int) -> float:
     """Upper bound on the EMD of a cluster holding one record from each of k
     ascending equal subsets: (n - k) / (2 (n - 1) k)."""
-    _check_nk(n, k)
+    check_params(n, k)
     return (n - k) / (2.0 * (n - 1) * k)
 
 
 def required_cluster_size(n: int, k: int, t: float) -> int:
     """Smallest admissible cluster size for closeness level t:
     max(k, ceil(n / (2 (n - 1) t + 1)))."""
-    if t <= 0:
-        raise ValueError("t must be positive; t <= 0 is unattainable without a full merge")
-    if n < 2 or k < 2:
-        raise ValueError(f"need n >= 2 and k >= 2, got n={n}, k={k}")
+    check_params(n, k, t)
     return max(k, math.ceil(n / (2.0 * (n - 1) * t + 1.0)))
 
 
 def adjust_cluster_size(n: int, k: int) -> int:
     """Grow k until the leftover n mod k records fit one-per-cluster, i.e.
     n mod k <= floor(n / k), iterating k += floor((n mod k) / floor(n / k))."""
-    _check_nk(n, k)
+    check_params(n, k)
     while n % k > n // k:
         k += (n % k) // (n // k)
     return k

@@ -10,17 +10,10 @@ from typing import Optional
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
-from .emd import TableEmd
+from .emd import TableEmd, check_params
 from .merge import merge_until_tclose
 from .metrics import RunReport, make_report
-from .microagg import (
-    Cluster,
-    Partition,
-    _farthest,
-    aggregate,
-    normalized_qi,
-    partition_from_arrays,
-)
+from .microagg import Partition, aggregate, normalized_qi, seeded_partition
 
 
 class _SwapEmd:
@@ -86,18 +79,18 @@ class _SwapEmd:
         self._rebuild()
 
 
-def _generate(
+def generate_cluster(
     seed: int, candidates: np.ndarray, x: np.ndarray, ctx: TableEmd, k: int, tau: float
 ) -> np.ndarray:
     """One cluster around a seed record, per the k-anonymity-first rules.
 
     Fewer than 2k candidates are returned whole. Otherwise the cluster starts
-    as the seed plus its k-1 QI-nearest candidates; then candidates are
-    consumed in order of QI distance to the seed, each swapped against the
-    member whose replacement most reduces the cluster-vs-table EMD, accepting
-    strict improvements only, until the EMD reaches tau or candidates run out.
-    Consumption is local to this call: only the returned members leave the
-    caller's pool.
+    as the seed plus its k-1 QI-nearest candidates (rows of the normalized QI
+    matrix x); then candidates are consumed in order of QI distance to the
+    seed, each swapped against the member whose replacement most reduces the
+    cluster-vs-table EMD, accepting strict improvements only, until the EMD
+    reaches tau or candidates run out. The candidate array is not mutated;
+    the sorted members are returned.
     """
     if candidates.size < 2 * k:
         return np.sort(candidates)
@@ -116,51 +109,15 @@ def _generate(
     return np.sort(np.array(state.members, dtype=np.int64))
 
 
-def generate_cluster(
-    x: int, candidates: np.ndarray, table: Table, k: int, tau: float
-) -> Cluster:
-    """Build one t-closeness-aware cluster seeded at record x from the given
-    unassigned candidate indices. The candidate pool is not mutated."""
-    candidates = np.asarray(candidates, dtype=np.int64)
-    if candidates.size == 0:
-        raise ValueError("candidate set is empty")
-    if x not in candidates:
-        raise ValueError("seed record must belong to the candidate set")
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    params = minmax_params(table)
-    xm = normalized_qi(table, params)
-    return Cluster(_generate(int(x), candidates, xm, TableEmd(table), k, tau))
-
-
 def kfirst_partition(
-    table: Table, k: int, tau: float, params: Optional[NormalizationParams] = None
+    table: Table, k: int, tau: float, params: NormalizationParams, ctx: TableEmd
 ) -> Partition:
-    """Full k-anonymity-first partition: seeds alternate between the record
-    farthest from the average of the unassigned pool and the record farthest
-    from the previous seed. Cluster sizes lie in [k, 2k-1]; clusters need not
-    all be t-close yet (see run_kfirst_algorithm)."""
-    n = table.n
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if params is None:
-        params = minmax_params(table)
+    """Full k-anonymity-first partition: one generate_cluster per seed from
+    seeded_partition. Cluster sizes lie in [k, 2k-1]; clusters need not all be
+    t-close yet (see run_kfirst_algorithm)."""
+    check_params(table.n, k, tau)
     x = normalized_qi(table, params)
-    ctx = TableEmd(table)
-    remaining = np.arange(n)
-    groups: list[np.ndarray] = []
-    while remaining.size:
-        avg = x[remaining].mean(axis=0)
-        x0 = _farthest(x, remaining, avg)
-        members = _generate(x0, remaining, x, ctx, k, tau)
-        groups.append(members)
-        remaining = np.setdiff1d(remaining, members, assume_unique=True)
-        if remaining.size:
-            x1 = _farthest(x, remaining, x[x0])
-            members = _generate(x1, remaining, x, ctx, k, tau)
-            groups.append(members)
-            remaining = np.setdiff1d(remaining, members, assume_unique=True)
-    return partition_from_arrays(groups, n)
+    return seeded_partition(x, lambda seed, pool: generate_cluster(seed, pool, x, ctx, k, tau))
 
 
 def run_kfirst_algorithm(
@@ -168,13 +125,14 @@ def run_kfirst_algorithm(
 ) -> tuple[AnonymizedTable, Partition, RunReport]:
     """k-Anonymity-first partition followed by the merge pass as the hard
     t-closeness guarantee, then aggregation."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_params(table.n, k, tau)
     start = time.perf_counter()
-    params = minmax_params(table)
-    partition = kfirst_partition(table, k, tau, params)
-    partition = merge_until_tclose(table, partition, tau, params)
+    params, ctx = minmax_params(table), TableEmd(table)
+    partition = kfirst_partition(table, k, tau, params, ctx)
+    partition = merge_until_tclose(table, partition, tau, params, ctx)
     anonymized = aggregate(table, partition)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report("kfirst", table, params, partition, anonymized, k, tau, runtime_ms, seed)
+    report = make_report(
+        "kfirst", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    )
     return anonymized, partition, report

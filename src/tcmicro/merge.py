@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
-from .emd import TableEmd
+from .emd import TableEmd, check_params
 from .metrics import RunReport, make_report
 from .microagg import Partition, aggregate, mdav_partition, normalized_qi, partition_from_arrays
 
@@ -18,7 +18,8 @@ def merge_until_tclose(
     table: Table,
     partition: Partition,
     tau: float,
-    params: Optional[NormalizationParams] = None,
+    params: NormalizationParams,
+    ctx: TableEmd,
 ) -> Partition:
     """Repeatedly merge the cluster with the greatest EMD to the table into
     its QI-nearest neighbor (centroid to centroid, normalized space) until
@@ -29,14 +30,11 @@ def merge_until_tclose(
     unchanged. Ties break toward the lower cluster index; the merged cluster
     keeps the lower of the two slots.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
-    if params is None:
-        params = minmax_params(table)
 
-    ctx = TableEmd(table)
     emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
     if max(emds) <= tau:
         return partition
@@ -65,13 +63,14 @@ def run_merge_algorithm(
 ) -> tuple[AnonymizedTable, Partition, RunReport]:
     """MDAV partition, merge until t-close, aggregate. The output satisfies
     k-anonymity at level k and t-closeness at tau."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_params(table.n, k, tau)
     start = time.perf_counter()
-    params = minmax_params(table)
+    params, ctx = minmax_params(table), TableEmd(table)
     partition = mdav_partition(table, params, k)
-    partition = merge_until_tclose(table, partition, tau, params)
+    partition = merge_until_tclose(table, partition, tau, params, ctx)
     anonymized = aggregate(table, partition)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report("merge", table, params, partition, anonymized, k, tau, runtime_ms, seed)
+    report = make_report(
+        "merge", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    )
     return anonymized, partition, report

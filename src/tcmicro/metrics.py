@@ -152,6 +152,7 @@ def make_report(
     algorithm: str,
     table: Table,
     params: NormalizationParams,
+    ctx: TableEmd,
     partition: Partition,
     anonymized: AnonymizedTable,
     k_requested: int,
@@ -160,7 +161,6 @@ def make_report(
     seed: Optional[int] = None,
 ) -> RunReport:
     k_min, k_avg = cluster_size_stats(partition)
-    check = verify_t_closeness(table, partition, tau)
     return RunReport(
         algorithm=algorithm,
         n=table.n,
@@ -168,7 +168,7 @@ def make_report(
         tau=tau,
         k_min_actual=k_min,
         k_avg_actual=k_avg,
-        max_cluster_emd=check.max_emd,
+        max_cluster_emd=max(ctx.cluster_emd(c.members) for c in partition.clusters),
         sse=normalized_sse(table, anonymized, params),
         runtime_ms=runtime_ms,
         seed=seed,

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table
+from .emd import check_params
 
 
 @dataclass(frozen=True)
@@ -67,12 +68,6 @@ def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
     return out
 
 
-def record_distance(table: Table, params: NormalizationParams, i: int, j: int) -> float:
-    """Euclidean distance between two records over min-max-normalized QIs."""
-    x = normalized_qi(table, params)
-    return float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
-
-
 def centroid(table: Table, cluster: Cluster) -> np.ndarray:
     """Per-QI arithmetic mean of a cluster, in original units."""
     if len(cluster) == 0:
@@ -80,54 +75,54 @@ def centroid(table: Table, cluster: Cluster) -> np.ndarray:
     return table.qi_matrix()[cluster.members].mean(axis=0)
 
 
-def _nearest_split(x: np.ndarray, remaining: np.ndarray, point: np.ndarray, k: int):
-    """The k remaining records nearest to a point, ties by lowest index, and
-    the rest. `remaining` must be ascending."""
-    d = ((x[remaining] - point) ** 2).sum(axis=1)
-    order = np.argsort(d, kind="stable")
-    chosen = np.sort(remaining[order[:k]])
-    rest = np.setdiff1d(remaining, chosen, assume_unique=True)
-    return chosen, rest
+def _farthest(x: np.ndarray, pool: np.ndarray, point: np.ndarray) -> int:
+    d = ((x[pool] - point) ** 2).sum(axis=1)
+    return int(pool[int(np.argmax(d))])
 
 
-def _farthest(x: np.ndarray, remaining: np.ndarray, point: np.ndarray) -> int:
-    d = ((x[remaining] - point) ** 2).sum(axis=1)
-    return int(remaining[int(np.argmax(d))])
+def seeded_partition(x: np.ndarray, build) -> Partition:
+    """Partition the records of x with MDAV's alternating farthest-point
+    seeding.
+
+    Seeds alternate between the unassigned record farthest from the average of
+    the unassigned records and the unassigned record farthest from the
+    previous seed; ties break toward the lowest record index. For each seed,
+    build(seed, pool) returns the members of its cluster, drawn from the
+    ascending array pool of unassigned records; they leave the pool, and
+    seeding continues until the pool is empty.
+    """
+    alive = np.ones(x.shape[0], dtype=bool)
+    groups: list[np.ndarray] = []
+    prev = None
+    while alive.any():
+        pool = np.flatnonzero(alive)
+        anchor = x[pool].mean(axis=0) if prev is None else x[prev]
+        seed = _farthest(x, pool, anchor)
+        members = build(seed, pool)
+        alive[members] = False
+        groups.append(members)
+        prev = seed if prev is None else None
+    return partition_from_arrays(groups, x.shape[0])
 
 
 def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partition:
     """Fixed-size MDAV microaggregation partition.
 
-    While at least 3k records remain, a k-cluster is built around the record
-    farthest from the average and another around the record farthest from that
-    one; with 2k..3k-1 left, one k-cluster around the farthest record plus one
-    cluster with the rest; below 2k, all remaining records form one cluster.
-    All ties break toward the lowest record index, so the result is
-    deterministic. Every cluster size lies in [k, 2k-1].
+    Each seed from seeded_partition takes its k nearest unassigned records,
+    ties toward the lowest record index, while at least 2k records remain;
+    below 2k, all remaining records form the last cluster. The result is
+    deterministic, and every cluster size lies in [k, 2k-1].
     """
-    n = table.n
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    check_params(table.n, k)
     x = normalized_qi(table, params)
-    remaining = np.arange(n)
-    groups: list[np.ndarray] = []
-    while remaining.size >= 3 * k:
-        avg = x[remaining].mean(axis=0)
-        r = _farthest(x, remaining, avg)
-        first, remaining = _nearest_split(x, remaining, x[r], k)
-        groups.append(first)
-        s = _farthest(x, remaining, x[r])
-        second, remaining = _nearest_split(x, remaining, x[s], k)
-        groups.append(second)
-    if remaining.size >= 2 * k:
-        avg = x[remaining].mean(axis=0)
-        r = _farthest(x, remaining, avg)
-        first, remaining = _nearest_split(x, remaining, x[r], k)
-        groups.append(first)
-        groups.append(remaining)
-    elif remaining.size:
-        groups.append(remaining)
-    return partition_from_arrays(groups, n)
+
+    def build(seed: int, pool: np.ndarray) -> np.ndarray:
+        if pool.size < 2 * k:
+            return pool
+        d = ((x[pool] - x[seed]) ** 2).sum(axis=1)
+        return np.sort(pool[np.argsort(d, kind="stable")[:k]])
+
+    return seeded_partition(x, build)
 
 
 def aggregate(table: Table, partition: Partition) -> AnonymizedTable:

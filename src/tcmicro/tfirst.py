@@ -11,17 +11,10 @@ from typing import Optional
 import numpy as np
 
 from .dataset import AnonymizedTable, Table, minmax_params
-from .emd import TableEmd, adjust_cluster_size, required_cluster_size
+from .emd import TableEmd, adjust_cluster_size, check_params, required_cluster_size
 from .merge import merge_until_tclose
 from .metrics import RunReport, make_report
-from .microagg import (
-    Cluster,
-    Partition,
-    _farthest,
-    aggregate,
-    normalized_qi,
-    partition_from_arrays,
-)
+from .microagg import Partition, aggregate, normalized_qi, seeded_partition
 
 
 @dataclass
@@ -45,10 +38,8 @@ def split_subsets(table: Table, k: int) -> RankedSubsets:
     values, assigning the n mod k leftovers to the central subset for odd k or
     as evenly as possible to the two central subsets for even k. Requires
     n mod k <= floor(n/k), which adjust_cluster_size guarantees."""
-    n = table.n
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    baseline, leftover = divmod(n, k)
+    check_params(table.n, k)
+    baseline, leftover = divmod(table.n, k)
     if leftover > baseline:
         raise ValueError(
             f"n mod k = {leftover} exceeds floor(n/k) = {baseline}; adjust the cluster size first"
@@ -82,7 +73,12 @@ def _take_nearest(subset: np.ndarray, x: np.ndarray, seed_point: np.ndarray):
     return pick, np.delete(subset, pos)
 
 
-def _build(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
+def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
+    """Build one cluster around a seed record: the QI-nearest record (rows of
+    the normalized QI matrix x) from each subset, plus one extra from the
+    first central subset that still has extras to place. Consumes the chosen
+    records (and extras budget) from `ranked` and returns the sorted members;
+    cluster size is k or k + 1."""
     seed_point = x[seed]
     members = []
     extra_taken = False
@@ -103,60 +99,30 @@ def _build(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
     return np.sort(np.array(members, dtype=np.int64))
 
 
-def build_cluster(seed: int, subsets: RankedSubsets, table: Table) -> Cluster:
-    """Build one cluster around a seed record: the QI-nearest record from each
-    subset, plus one extra from the first central subset that still has extras
-    to place. Consumes the chosen records (and extras budget) from `subsets`.
-    Cluster size is k or k + 1."""
-    params = minmax_params(table)
-    return Cluster(_build(int(seed), subsets, normalized_qi(table, params)))
-
-
 def run_tfirst_algorithm(
     table: Table, k: int, tau: float, seed: Optional[int] = None
 ) -> tuple[AnonymizedTable, Partition, RunReport]:
     """t-Closeness-first microaggregation.
 
     The working cluster size k' is the closeness formula size adjusted so the
-    leftover records fit, records are split into k' ranked subsets, and
-    clusters are built around alternating farthest-point seeds, one record per
-    subset. floor(n/k') clusters result, each of size k' or k' + 1. When k'
-    divides n every cluster's EMD is bounded by construction; otherwise the
-    bound is approximate, so a final merge pass enforces tau in all cases.
+    leftover records fit, records are split into k' ranked subsets, and each
+    seed from seeded_partition takes one record per subset. floor(n/k')
+    clusters result, each of size k' or k' + 1. When k' divides n every
+    cluster's EMD is bounded by construction; otherwise the bound is
+    approximate, so the merge pass enforces tau in all cases (it returns an
+    already t-close partition unchanged).
     """
     n = table.n
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    check_params(n, k, tau)
     start = time.perf_counter()
-    params = minmax_params(table)
-    k_work = adjust_cluster_size(n, required_cluster_size(n, k, tau))
-
-    ranked = split_subsets(table, k_work)
+    params, ctx = minmax_params(table), TableEmd(table)
+    ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
     x = normalized_qi(table, params)
-    taken = np.zeros(n, dtype=bool)
-    groups: list[np.ndarray] = []
-    while not taken.all():
-        alive = np.flatnonzero(~taken)
-        avg = x[alive].mean(axis=0)
-        x0 = _farthest(x, alive, avg)
-        members = _build(x0, ranked, x)
-        taken[members] = True
-        groups.append(members)
-        if not taken.all():
-            alive = np.flatnonzero(~taken)
-            x1 = _farthest(x, alive, x[x0])
-            members = _build(x1, ranked, x)
-            taken[members] = True
-            groups.append(members)
-    partition = partition_from_arrays(groups, n)
-
-    ctx = TableEmd(table)
-    if max(ctx.cluster_emd(c.members) for c in partition.clusters) > tau:
-        partition = merge_until_tclose(table, partition, tau, params)
-
+    partition = seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
+    partition = merge_until_tclose(table, partition, tau, params, ctx)
     anonymized = aggregate(table, partition)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report("tfirst", table, params, partition, anonymized, k, tau, runtime_ms, seed)
+    report = make_report(
+        "tfirst", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    )
     return anonymized, partition, report

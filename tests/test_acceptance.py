@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Cluster,
     Distribution,
     SynthConfig,
-    emd_cluster_vs_table,
+    TableEmd,
     emd_ordered,
     max_emd_bound,
     min_emd_bound,
@@ -133,7 +132,7 @@ def test_criterion_2_emd_bounds_brute_force():
                 # tie the vectorized enumeration EMD to the library path
                 table = make_ranks_table(n)
                 sample = rng.choice(n, size=k, replace=False)
-                lib = emd_cluster_vs_table(table, Cluster(sample))
+                lib = TableEmd(table).cluster_emd(sample)
                 fast = subset_emd_matrix(np.sort(sample)[None, :], n)[0]
                 assert abs(lib - fast) <= 1e-12
         elapsed = time.perf_counter() - start

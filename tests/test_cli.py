@@ -103,6 +103,19 @@ def test_missing_input_is_io_error(tmp_path, synth_files):
     assert rc == 3
 
 
+def test_verify_empty_release_is_usage_error(tmp_path, synth_files, capsys):
+    data, roles = synth_files
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    rc = main([
+        "verify", "--input", str(data), "--anonymized", str(empty),
+        "--roles", str(roles), "--k", "2", "--t", "0.1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "file is empty" in err
+
+
 class TestVerify:
     @pytest.fixture
     def release(self, tmp_path, synth_files):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Cluster,
     Distribution,
+    TableEmd,
     adjust_cluster_size,
     distribution_of,
-    emd_cluster_vs_table,
     emd_ordered,
     max_emd_bound,
     min_emd_bound,
@@ -96,21 +95,21 @@ class TestEmdOrdered:
 class TestClusterVsTable:
     def test_all_records_zero(self):
         t = make_ranks_table(9)
-        assert emd_cluster_vs_table(t, Cluster(np.arange(9))) == 0.0
+        assert TableEmd(t).cluster_emd(np.arange(9)) == 0.0
 
     def test_two_of_four(self):
         t = make_ranks_table(4)
-        assert emd_cluster_vs_table(t, Cluster([0, 1])) == pytest.approx(1 / 3, abs=1e-15)
+        assert TableEmd(t).cluster_emd([0, 1]) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_median_singleton_minimal_by_exhaustion(self):
         t = make_ranks_table(7)
-        emds = [emd_cluster_vs_table(t, Cluster([i])) for i in range(7)]
+        emds = [TableEmd(t).cluster_emd([i]) for i in range(7)]
         assert np.argmin(emds) == 3  # the median rank
 
     def test_empty_cluster_rejected(self):
         t = make_ranks_table(4)
         with pytest.raises(ValueError):
-            emd_cluster_vs_table(t, np.array([], dtype=int))
+            TableEmd(t).cluster_emd(np.array([], dtype=int))
 
 
 class TestMinBound:
@@ -118,7 +117,7 @@ class TestMinBound:
         bound = min_emd_bound(6, 2)
         assert bound == pytest.approx(32 / 240, abs=1e-15)
         t = make_ranks_table(6)
-        emds = {c: emd_cluster_vs_table(t, Cluster(c)) for c in combinations(range(6), 2)}
+        emds = {c: TableEmd(t).cluster_emd(c) for c in combinations(range(6), 2)}
         assert min(emds.values()) == pytest.approx(bound, abs=1e-12)
         # n/k = 3 is odd: the minimum sits at the medians of the two halves
         assert emds[(1, 4)] == pytest.approx(bound, abs=1e-12)
@@ -133,7 +132,7 @@ class TestMinBound:
     def test_not_tight_when_quotient_even(self):
         # n=4, k=2: true minimum by exhaustion is 1/6, above the 0.125 bound
         t = make_ranks_table(4)
-        best = min(emd_cluster_vs_table(t, Cluster(c)) for c in combinations(range(4), 2))
+        best = min(TableEmd(t).cluster_emd(c) for c in combinations(range(4), 2))
         assert best == pytest.approx(1 / 6, abs=1e-12)
         assert best > min_emd_bound(4, 2)
 
@@ -149,7 +148,7 @@ class TestMaxBound:
         t = make_ranks_table(6)
         # one record per ascending 3-subset: offsets over {0,1,2} x {3,4,5}
         emds = {
-            (a, b): emd_cluster_vs_table(t, Cluster([a, b]))
+            (a, b): TableEmd(t).cluster_emd([a, b])
             for a in range(3)
             for b in range(3, 6)
         }

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Cluster,
     SynthConfig,
     TableEmd,
-    emd_cluster_vs_table,
     generate_cluster,
     kfirst_partition,
     max_emd_bound,
@@ -25,50 +23,53 @@ def small_table(n=120, seed=6):
     return synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
 
 
+def generate(seed, candidates, table, k, tau):
+    x = normalized_qi(table, minmax_params(table))
+    return generate_cluster(seed, np.asarray(candidates), x, TableEmd(table), k, tau)
+
+
+def emd(table, members):
+    return TableEmd(table).cluster_emd(members)
+
+
+def partition(table, k, tau):
+    return kfirst_partition(table, k, tau, minmax_params(table), TableEmd(table))
+
+
 class TestGenerateCluster:
     def test_slack_tau_returns_k_nearest(self):
         t = make_ranks_table(10)
-        c = generate_cluster(0, np.arange(10), t, 3, max_emd_bound(10, 3) + 0.5)
-        assert tuple(c.members) == (0, 1, 2)
+        c = generate(0, np.arange(10), t, 3, max_emd_bound(10, 3) + 0.5)
+        assert tuple(c) == (0, 1, 2)
 
     def test_small_pool_returned_whole(self):
         t = make_ranks_table(9)
         pool = np.arange(4, 9)  # 2k - 1 = 5 candidates for k = 3
-        c = generate_cluster(5, pool, t, 3, 0.01)
-        assert tuple(c.members) == (4, 5, 6, 7, 8)
+        c = generate(5, pool, t, 3, 0.01)
+        assert tuple(c) == (4, 5, 6, 7, 8)
 
     def test_swap_trace_on_six_ranks(self):
         # seed rank 1, k=2, tau=0.2: EMD path 0.4 -> 0.2667 -> 0.1667, ending
         # at the {rank2, rank4} cluster
         t = make_ranks_table(6)
-        c = generate_cluster(0, np.arange(6), t, 2, 0.2)
-        assert tuple(c.members) == (1, 3)
-        assert emd_cluster_vs_table(t, c) == pytest.approx(1 / 6, abs=1e-12)
+        c = generate(0, np.arange(6), t, 2, 0.2)
+        assert tuple(c) == (1, 3)
+        assert emd(t, c) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_candidate_pool_not_mutated(self):
         t = make_ranks_table(12)
         pool = np.arange(12)
         before = pool.copy()
-        generate_cluster(0, pool, t, 2, 0.05)
+        generate(0, pool, t, 2, 0.05)
         assert np.array_equal(pool, before)
 
     def test_swaps_never_increase_emd(self):
         t = small_table(60, 8)
         pool = np.arange(60)
         for seed_rec, tau in [(0, 0.05), (17, 0.02), (41, 0.1)]:
-            refined = generate_cluster(seed_rec, pool, t, 4, tau)
-            baseline = generate_cluster(seed_rec, pool, t, 4, 10.0)  # no swaps
-            assert emd_cluster_vs_table(t, refined) <= emd_cluster_vs_table(t, baseline) + 1e-12
-
-    def test_seed_must_be_candidate(self):
-        t = make_ranks_table(8)
-        with pytest.raises(ValueError, match="seed"):
-            generate_cluster(7, np.arange(5), t, 2, 0.1)
-
-    def test_empty_candidates(self):
-        t = make_ranks_table(8)
-        with pytest.raises(ValueError, match="empty"):
-            generate_cluster(0, np.array([], dtype=int), t, 2, 0.1)
+            refined = generate(seed_rec, pool, t, 4, tau)
+            baseline = generate(seed_rec, pool, t, 4, 10.0)  # no swaps
+            assert emd(t, refined) <= emd(t, baseline) + 1e-12
 
     def test_incremental_emd_matches_recomputation(self):
         # duplicate confidential values included, so several records share a
@@ -96,7 +97,7 @@ class TestGenerateCluster:
             others = [c for c in cands if c != seed]
             others.sort(key=lambda j: (((x[j] - x[seed]) ** 2).sum(), j))
             members = [seed] + others[: k - 1]
-            cur = emd_cluster_vs_table(table, Cluster(members))
+            cur = emd(table, members)
             for y in others[k - 1 :]:
                 if cur <= tau:
                     break
@@ -104,7 +105,7 @@ class TestGenerateCluster:
                 for pos in range(k):
                     trial = list(members)
                     trial[pos] = y
-                    e = emd_cluster_vs_table(table, Cluster(trial))
+                    e = emd(table, trial)
                     if e < best:
                         best_pos, best = pos, e
                 if best_pos >= 0:
@@ -119,14 +120,14 @@ class TestGenerateCluster:
             k = int(rng.integers(2, 5))
             tau = float(rng.uniform(0.02, 0.3))
             seed_rec = int(rng.integers(0, n))
-            got = generate_cluster(seed_rec, np.arange(n), t, k, tau)
-            assert list(got.members) == naive(seed_rec, range(n), t, k, tau)
+            got = generate(seed_rec, np.arange(n), t, k, tau)
+            assert list(got) == naive(seed_rec, range(n), t, k, tau)
 
 
 class TestKfirstPartition:
     def test_huge_tau_equals_mdav(self):
         t = small_table()
-        got = kfirst_partition(t, 3, 1.0)
+        got = partition(t, 3, 1.0)
         want = mdav_partition(t, minmax_params(t), 3)
         assert [tuple(c.members) for c in got.clusters] == [
             tuple(c.members) for c in want.clusters
@@ -135,13 +136,13 @@ class TestKfirstPartition:
     def test_cluster_sizes_in_band(self):
         for seed, n, k in [(1, 97, 3), (2, 64, 2), (3, 55, 5)]:
             t = small_table(n, seed)
-            part = kfirst_partition(t, k, 0.15)
+            part = partition(t, k, 0.15)
             sizes = part.sizes()
             assert min(sizes) >= k
             assert max(sizes) <= 2 * k - 1
 
     def test_min_size_stays_near_k_at_moderate_tau(self, mcd_table):
-        part = kfirst_partition(mcd_table, 2, 0.17)
+        part = partition(mcd_table, 2, 0.17)
         assert min(part.sizes()) == 2
 
 

@@ -6,7 +6,6 @@ from tcmicro import (
     Partition,
     SynthConfig,
     TableEmd,
-    emd_cluster_vs_table,
     mdav_partition,
     merge_until_tclose,
     minmax_params,
@@ -22,30 +21,34 @@ def small_table(n=120, seed=2):
     return synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
 
 
+def merge(table, partition, tau):
+    return merge_until_tclose(table, partition, tau, minmax_params(table), TableEmd(table))
+
+
 class TestMergeUntilTclose:
     def test_already_close_returned_unchanged(self):
         t = small_table()
         part = mdav_partition(t, minmax_params(t), 3)
-        out = merge_until_tclose(t, part, 1.0)
+        out = merge(t, part, 1.0)
         assert out is part
 
     def test_tau_zero_collapses_to_single_cluster(self):
         t = small_table(80, 5)
         part = mdav_partition(t, minmax_params(t), 2)
-        out = merge_until_tclose(t, part, 0.0)
+        out = merge(t, part, 0.0)
         assert len(out) == 1
-        assert emd_cluster_vs_table(t, out.clusters[0]) == 0.0
+        assert TableEmd(t).cluster_emd(out.clusters[0].members) == 0.0
 
     def test_two_clusters_one_violating(self):
         t = make_ranks_table(6)
         part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
-        out = merge_until_tclose(t, part, 0.2)  # each half has EMD 0.3
+        out = merge(t, part, 0.2)  # each half has EMD 0.3
         assert len(out) == 1
 
     def test_output_is_coarsening(self):
         t = small_table(200, 9)
         part = mdav_partition(t, minmax_params(t), 2)
-        out = merge_until_tclose(t, part, 0.08)
+        out = merge(t, part, 0.08)
         originals = [set(c.members) for c in part.clusters]
         for merged in out.clusters:
             block = set(merged.members)
@@ -56,7 +59,7 @@ class TestMergeUntilTclose:
         t = small_table(150, 4)
         part = mdav_partition(t, minmax_params(t), 2)
         for tau in (0.05, 0.1, 0.2):
-            out = merge_until_tclose(t, part, tau)
+            out = merge(t, part, tau)
             assert verify_t_closeness(t, out, tau).ok
 
 

@@ -14,9 +14,9 @@ from tcmicro import (
     mdav_partition,
     minmax_params,
     normalized_qi,
-    record_distance,
     verify_k_anonymity,
 )
+from tcmicro.microagg import seeded_partition
 from util import make_1d_table, make_ranks_table
 
 SPECS_2QI = (
@@ -24,6 +24,11 @@ SPECS_2QI = (
     AttributeSpec("b", Role.QUASI_IDENTIFIER),
     AttributeSpec("s", Role.CONFIDENTIAL),
 )
+
+
+def record_distance(table, i, j):
+    x = normalized_qi(table, minmax_params(table))
+    return float(np.sqrt(((x[i] - x[j]) ** 2).sum()))
 
 
 def random_table(n, seed):
@@ -50,21 +55,20 @@ class TestClusterPartition:
 class TestRecordDistance:
     def test_identical_rows(self):
         t = make_1d_table([3, 3, 7], [1, 2, 3])
-        assert record_distance(t, minmax_params(t), 0, 1) == 0.0
+        assert record_distance(t, 0, 1) == 0.0
 
     def test_full_range_is_one(self):
         t = make_1d_table([0, 10], [1, 2])
-        assert record_distance(t, minmax_params(t), 0, 1) == 1.0
+        assert record_distance(t, 0, 1) == 1.0
 
     def test_two_full_ranges_sqrt2(self):
         t = Table(SPECS_2QI, np.array([[0.0, -5.0, 1.0], [10.0, 5.0, 2.0]]))
-        d = record_distance(t, minmax_params(t), 0, 1)
+        d = record_distance(t, 0, 1)
         assert d == pytest.approx(np.sqrt(2), abs=1e-12)
 
     def test_symmetry(self):
         t = random_table(10, 2)
-        p = minmax_params(t)
-        assert record_distance(t, p, 2, 7) == record_distance(t, p, 7, 2)
+        assert record_distance(t, 2, 7) == record_distance(t, 7, 2)
 
 
 class TestCentroid:
@@ -138,6 +142,30 @@ class TestMdav:
         p1 = mdav_partition(t, minmax_params(t), 5)
         p2 = mdav_partition(t, minmax_params(t), 5)
         assert [tuple(c.members) for c in p1.clusters] == [tuple(c.members) for c in p2.clusters]
+
+
+class TestSeededPartition:
+    def test_seeds_alternate_between_average_and_previous_seed(self):
+        # on evenly spaced points the average-farthest seed is the lowest
+        # remaining index (a tie with the highest), the next the farthest
+        # from it
+        t = make_ranks_table(7)
+        x = normalized_qi(t, minmax_params(t))
+        part = seeded_partition(x, lambda seed, pool: np.array([seed]))
+        assert [int(c.members[0]) for c in part.clusters] == [0, 6, 1, 5, 2, 4, 3]
+
+    def test_build_sees_only_unassigned_records(self):
+        t = make_ranks_table(9)
+        x = normalized_qi(t, minmax_params(t))
+        pools = []
+
+        def build(seed, pool):
+            pools.append(pool.copy())
+            return pool[:3]
+
+        part = seeded_partition(x, build)
+        assert part.sizes() == [3, 3, 3]
+        assert [p.size for p in pools] == [9, 6, 3]
 
 
 class TestAggregate:

@@ -1,0 +1,108 @@
+"""Property tests over adversarial tables: ties, constant or all-zero QI
+columns, duplicate rows, negative values, n just above k, k == n and tiny t.
+
+Every pipeline's release must be k-anonymous and t-close on the equivalence
+classes it actually publishes (rows with equal QI values), and invalid k or
+tau must raise ValueError and nothing else. Utility is not asserted.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tcmicro import (
+    AttributeSpec,
+    Role,
+    Table,
+    run_kfirst_algorithm,
+    run_merge_algorithm,
+    run_tfirst_algorithm,
+)
+
+PIPELINES = [run_merge_algorithm, run_kfirst_algorithm, run_tfirst_algorithm]
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+cells = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tables(draw, n=st.integers(2, 24)):
+    """A table of n records drawn with replacement from a few distinct rows,
+    with some QI columns optionally forced constant or zero."""
+    q = draw(st.integers(1, 3))
+    row = st.tuples(*[cells] * (q + 1))
+    distinct = draw(st.lists(row, min_size=1, max_size=12))
+    n = draw(n)
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows = np.array([distinct[i] for i in picks], dtype=np.float64)
+    for col in draw(st.sets(st.integers(0, q - 1), max_size=q)):
+        rows[:, col] = draw(st.sampled_from([0.0, -2.5]))
+    specs = tuple(AttributeSpec(f"q{i}", Role.QUASI_IDENTIFIER) for i in range(q))
+    return Table(specs + (AttributeSpec("s", Role.CONFIDENTIAL),), rows)
+
+
+def emd_to_table(conf: np.ndarray, members: np.ndarray) -> float:
+    support, ranks = np.unique(conf, return_inverse=True)
+    m = support.size
+    if m == 1:
+        return 0.0
+    p = np.bincount(ranks[members], minlength=m) / members.size
+    q = np.bincount(ranks, minlength=m) / conf.size
+    return float(np.abs(np.cumsum(p - q)).sum() / (m - 1))
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    k=st.integers(2, 6),
+    extra=st.one_of(st.just(0), st.just(1), st.integers(0, 18)),
+    tau=st.one_of(st.just(1e-6), st.floats(1e-3, 0.6)),
+)
+def test_published_classes_are_k_anonymous_and_t_close(data, k, extra, tau):
+    table = data.draw(tables(n=st.just(k + extra)))
+    conf = table.confidential_column()
+    for run in PIPELINES:
+        anonymized, _, _ = run(table, k, tau)
+        assert np.array_equal(anonymized.table.confidential_column(), conf)
+        qi = anonymized.table.qi_matrix()
+        _, classes = np.unique(qi, axis=0, return_inverse=True)
+        for c in np.unique(classes):
+            members = np.flatnonzero(classes.ravel() == c)
+            assert members.size >= k, run.__name__
+            assert emd_to_table(conf, members) <= tau + 1e-9, run.__name__
+
+
+bad_k = st.one_of(
+    st.integers(-5, 1),
+    st.integers(25, 40),
+    st.floats(allow_nan=True).filter(lambda v: not (math.isfinite(v) and v == int(v))),
+    st.floats(2, 24).filter(lambda v: v != int(v)),
+)
+bad_tau = st.one_of(
+    st.just(math.nan),
+    st.just(math.inf),
+    st.just(-math.inf),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+@SETTINGS
+@given(table=tables(), k=bad_k)
+def test_invalid_k_raises_value_error(table, k):
+    for run in PIPELINES:
+        with pytest.raises(ValueError):
+            run(table, k, 0.1)
+
+
+@SETTINGS
+@given(table=tables(), tau=bad_tau)
+def test_invalid_tau_raises_value_error(table, tau):
+    for run in PIPELINES:
+        with pytest.raises(ValueError):
+            run(table, 2, tau)

@@ -5,21 +5,26 @@ import pytest
 
 from tcmicro import (
     SynthConfig,
+    TableEmd,
     build_cluster,
-    emd_cluster_vs_table,
     max_emd_bound,
+    minmax_params,
+    normalized_qi,
     split_subsets,
     synth_generate,
     run_tfirst_algorithm,
     verify_k_anonymity,
     verify_t_closeness,
-    Cluster,
 )
 from util import make_ranks_table
 
 
 def small_table(n=120, seed=3):
     return synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
+
+
+def build(seed, ranked, table):
+    return build_cluster(seed, ranked, normalized_qi(table, minmax_params(table)))
 
 
 class TestSplitSubsets:
@@ -61,7 +66,7 @@ class TestBuildCluster:
     def test_no_extras_gives_size_k(self):
         t = make_ranks_table(12)
         ranked = split_subsets(t, 3)
-        c = build_cluster(0, ranked, t)
+        c = build(0, ranked, t)
         assert len(c) == 3
         assert all(s.size == 3 for s in ranked.subsets)
 
@@ -70,7 +75,7 @@ class TestBuildCluster:
         ranked = split_subsets(t, 3)
         sizes = []
         for seed in (0, 5, 10):
-            sizes.append(len(build_cluster(seed, ranked, t)))
+            sizes.append(len(build(seed, ranked, t)))
         assert sorted(sizes) == [3, 4, 4]
         assert sum(ranked.extras) == 0
 
@@ -78,23 +83,23 @@ class TestBuildCluster:
         t = make_ranks_table(12)
         ranked = split_subsets(t, 4)
         starts = [set(s) for s in ranked.subsets]
-        c = build_cluster(3, ranked, t)
+        c = build(3, ranked, t)
         for block in starts:
-            assert len(block & set(c.members)) == 1
+            assert len(block & set(c)) == 1
 
     def test_every_one_per_subset_cluster_within_bound(self):
         t = make_ranks_table(6)
         bound = max_emd_bound(6, 2)
         for a, b in product(range(3), range(3, 6)):
-            assert emd_cluster_vs_table(t, Cluster([a, b])) <= bound + 1e-12
+            assert TableEmd(t).cluster_emd([a, b]) <= bound + 1e-12
 
     def test_empty_subset_rejected(self):
         t = make_ranks_table(4)
         ranked = split_subsets(t, 2)
-        build_cluster(0, ranked, t)
-        build_cluster(0, ranked, t)
+        build(0, ranked, t)
+        build(0, ranked, t)
         with pytest.raises(ValueError, match="empty"):
-            build_cluster(0, ranked, t)
+            build(0, ranked, t)
 
 
 class TestRunTfirst:
@@ -126,7 +131,7 @@ class TestRunTfirst:
         ranked = split_subsets(t, 5)
         baseline = ranked.baseline
         for built in range(1, 4):
-            build_cluster(built, ranked, t)
+            build(built, ranked, t)
             assert all(s.size == baseline - built for s in ranked.subsets)
 
     def test_nondivisible_sizes_and_guarantee(self):
