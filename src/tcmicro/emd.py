@@ -105,9 +105,7 @@ def check_params(n: int, k, tau=None) -> None:
     is given, a closeness level tau that is not a finite positive number."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 2 <= k <= n:
         raise ValueError(f"need an integer k with 2 <= k <= n, got k={k!r}, n={n}")
-    if tau is not None and not (
-        isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0
-    ):
+    if tau is not None and not (isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be a finite positive number, got {tau!r}")
 
 
