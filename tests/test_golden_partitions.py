@@ -38,6 +38,13 @@ PIPELINES = {
 GRID_K = (2, 5)
 GRID_T = (0.05, 0.2)
 N_EQUALS_K_T = 0.2
+# tfirst cells whose working size k' is even and does not divide n, so both
+# central subsets carry extra records
+EVEN_SPLIT_CELLS = (
+    "tfirst/ties/k8/t0.2",
+    "tfirst/ties9/k8/t0.2",
+    "tfirst/synth9-s1-n300/k8/t0.2",
+)
 
 SPECS = (
     AttributeSpec("a", Role.QUASI_IDENTIFIER),
@@ -61,6 +68,19 @@ def tables() -> dict:
     const[:, 1] = 3.0
     out["const-qi"] = Table(SPECS, const)
     out["dup-rows"] = Table(SPECS, np.tile(rng.uniform(-5, 5, (15, 3)), (4, 1)))
+    # 9 QIs, so a squared distance sums 9 terms: every row is a column
+    # permutation of one of 4 integer rows, which ties many distances exactly
+    # in real arithmetic but not always in floating point
+    rng = np.random.default_rng(9)
+    base = rng.integers(0, 4, (4, 9))
+    qi = np.array([base[rng.integers(4)][rng.permutation(9)] for _ in range(70)])
+    specs9 = tuple(AttributeSpec(f"q{j}", Role.QUASI_IDENTIFIER) for j in range(9))
+    out["ties9"] = Table(
+        specs9 + (AttributeSpec("s", Role.CONFIDENTIAL),),
+        np.column_stack([qi, rng.integers(0, 5, 70)]).astype(float),
+    )
+    cfg = SynthConfig(n=300, qi_count=9, target_correlation=0.52, seed=1)
+    out["synth9-s1-n300"] = synth_generate(cfg)
     return out
 
 
@@ -71,7 +91,7 @@ def cells() -> list[str]:
             out.append(f"mdav/{name}/k{k}")
             for t in GRID_T if k < table.n else (N_EQUALS_K_T,):
                 out.extend(f"{p}/{name}/k{k}/t{t}" for p in PIPELINES)
-    return out
+    return out + list(EVEN_SPLIT_CELLS)
 
 
 def digest(partition) -> str:
@@ -217,6 +237,45 @@ GOLDEN = {
     "merge/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
     "kfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
     "tfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
+    "mdav/ties9/k2": "6442e13abd16e0b3b82d0e33dfd893e1577d40c7ce93f7d5effcb0fa71d8cc49",
+    "merge/ties9/k2/t0.05": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
+    "kfirst/ties9/k2/t0.05": "d378cd5a3364dfcd545f79c17a4aaf79b8e1a55192fc709c3d72a9a3b67b331f",
+    "tfirst/ties9/k2/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
+    "merge/ties9/k2/t0.2": "7d691be7608e68a9ae4154ca3fe52d1718dfcb0c1260f1c10c0f32f223b44758",
+    "kfirst/ties9/k2/t0.2": "99d9689e4d2a97618bfdeed9a8a08cdc66653c9785d5e019f102f72a90f35b08",
+    "tfirst/ties9/k2/t0.2": "efb851935bd9f0ccf6d3ff31dd96a62ed8b6c74d4faf07f617f12993cd34765f",
+    "mdav/ties9/k5": "53b585bf5d03ca030c023b30d257e74c7615db9c1517a43b1f7431ee5c5c107c",
+    "merge/ties9/k5/t0.05": "2b21df54c7b3db395d890294aac0507091aed47e1922345f20a3a653dc39093c",
+    "kfirst/ties9/k5/t0.05": "2baeff800f119126f72e34a2848f0fc03cd0d19e7f0e83f8b80994b5c00ac0ef",
+    "tfirst/ties9/k5/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
+    "merge/ties9/k5/t0.2": "2d8740f0b40de57a4f2dd1f81fe98809bcb7c840f4ee78e0084b281be64f7e91",
+    "kfirst/ties9/k5/t0.2": "1527fcff58799fff50a67848fded9949fc4c71f168b6c04cdf6b671a16a9aef3",
+    "tfirst/ties9/k5/t0.2": "04da578238071a3adda61cc081bc5b58479e47b10e2e19e671e43795d5b4bd9d",
+    "mdav/ties9/k70": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
+    "merge/ties9/k70/t0.2": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
+    "kfirst/ties9/k70/t0.2": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
+    "tfirst/ties9/k70/t0.2": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
+    "mdav/synth9-s1-n300/k2": "1e43dd5003da09fc127b912236f8136a6c6b54ebf477fdd62e462404dff2dcdd",
+    "merge/synth9-s1-n300/k2/t0.05": "f32620bf450a88b1e7054970b3b41c60b81302618d180b888615743e5ca76c42",
+    "kfirst/synth9-s1-n300/k2/t0.05": "61bca3714b785a5b35842649b086ecf2b52ae69ea2b04ee543c5d6fb23c732fe",
+    "tfirst/synth9-s1-n300/k2/t0.05": "a32445c441a324c94f9b2a865ff21c231257b7182e8013def95e057faf3e629b",
+    "merge/synth9-s1-n300/k2/t0.2": "4a4a7634b974b04d7198fc128a3a7894ffd941f14f6ebe343457a3fc0217e479",
+    "kfirst/synth9-s1-n300/k2/t0.2": "ee771e09583c8ded90fee216c8876ba357b0ac9abf078380a9be187e9085c0dc",
+    "tfirst/synth9-s1-n300/k2/t0.2": "1121b8fef75979ca2fcf809df66acc70764fbae911b444753b18a9a6222b0e78",
+    "mdav/synth9-s1-n300/k5": "ec9bdcc730b67b58ac0aa5009a539241e6f4091891bed4de8527c0c7aa23bdd0",
+    "merge/synth9-s1-n300/k5/t0.05": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "kfirst/synth9-s1-n300/k5/t0.05": "229eeeb0763a57e506826f26220ff7bebdb5abbc32099d388e5e5366365168ee",
+    "tfirst/synth9-s1-n300/k5/t0.05": "a32445c441a324c94f9b2a865ff21c231257b7182e8013def95e057faf3e629b",
+    "merge/synth9-s1-n300/k5/t0.2": "3e5d0eab739e6e15852b031a40b82e012bba7f92229c3b99cee6e29dae73d2c8",
+    "kfirst/synth9-s1-n300/k5/t0.2": "0abb25b709174f5bd6446356179ea8e10b1d624dcefa1d69f3cddedc9e3b2907",
+    "tfirst/synth9-s1-n300/k5/t0.2": "38486b6156f641785483bfeb69027e1b08901a225df1bd5799840d02b5b36f53",
+    "mdav/synth9-s1-n300/k300": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "merge/synth9-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "kfirst/synth9-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "tfirst/synth9-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
+    "tfirst/ties/k8/t0.2": "3807bc3813e9fa102ba21677dbf24d26f78da6de02c0fef1447df3c836bdd572",
+    "tfirst/ties9/k8/t0.2": "f3b8bcc3ae4fa9d5a77c81ed466b69a7bcca87680d88d11319a3dd9d0c82d598",
+    "tfirst/synth9-s1-n300/k8/t0.2": "f368b52f7b641ba9995c23f632dd6efb0d134582c61cdc3fc543f28bd4ce3c69",
 }
 
 
