@@ -136,8 +136,10 @@ def cmd_anonymize(args) -> int:
 
 
 def _partition_from_ids(cluster_ids: np.ndarray):
-    groups = [np.flatnonzero(cluster_ids == cid) for cid in np.unique(cluster_ids)]
-    return partition_from_arrays(groups, cluster_ids.size)
+    """One cluster per distinct id, in ascending id order."""
+    order = np.argsort(cluster_ids, kind="stable")
+    cuts = np.flatnonzero(np.diff(cluster_ids[order])) + 1
+    return partition_from_arrays(np.split(order, cuts), cluster_ids.size)
 
 
 def cmd_verify(args) -> int:

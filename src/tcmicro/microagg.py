@@ -75,9 +75,54 @@ def centroid(table: Table, cluster: Cluster) -> np.ndarray:
     return table.qi_matrix()[cluster.members].mean(axis=0)
 
 
-def _farthest(x: np.ndarray, pool: np.ndarray, point: np.ndarray) -> int:
-    d = ((x[pool] - point) ** 2).sum(axis=1)
-    return int(pool[int(np.argmax(d))])
+def sq_distances(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from point to records stored
+    attribute-major: cols[j] holds attribute j of every record, in any shape.
+
+    Bit-identical to ((rows - point) ** 2).sum(axis=-1) over the same records
+    stored one per row. numpy adds a contiguous row of fewer than 8 terms left
+    to right, a row of 8 to 128 terms as 8 interleaved partial sums combined
+    pairwise, and a longer row as two halves split at a multiple of 8; the
+    terms are added here in that order, one whole attribute at a time.
+    """
+    return _pairwise_sum(cols, point, 0, cols.shape[0])
+
+
+def _pairwise_sum(cols: np.ndarray, point: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    n = hi - lo
+    if n > 128:
+        mid = lo + n // 2 - (n // 2) % 8
+        return _pairwise_sum(cols, point, lo, mid) + _pairwise_sum(cols, point, mid, hi)
+
+    def term(j: int) -> np.ndarray:
+        diff = cols[j] - point[j]
+        return np.square(diff, out=diff)
+
+    if n < 8:
+        total = term(lo)
+        for j in range(lo + 1, hi):
+            total += term(j)
+        return total
+    parts = [term(lo + j) for j in range(8)]
+    tail = hi - n % 8
+    for i in range(lo + 8, tail, 8):
+        for j in range(8):
+            parts[j] += term(i + j)
+    total = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + (
+        (parts[4] + parts[5]) + (parts[6] + parts[7])
+    )
+    for j in range(tail, hi):
+        total += term(j)
+    return total
+
+
+def _record_mean(cols: np.ndarray) -> np.ndarray:
+    """Mean record of an attribute-major copy, bit-identical to
+    rows.mean(axis=0): numpy accumulates that mean record by record, except
+    for a single attribute, whose one contiguous column it sums pairwise."""
+    if cols.shape[0] == 1:
+        return cols.sum(axis=1) / cols.shape[1]
+    return np.cumsum(cols, axis=1)[:, -1] / cols.shape[1]
 
 
 def seeded_partition(x: np.ndarray, build) -> Partition:
@@ -89,20 +134,34 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
     previous seed; ties break toward the lowest record index. For each seed,
     build(seed, pool) returns the members of its cluster, drawn from the
     ascending array pool of unassigned records; they leave the pool, and
-    seeding continues until the pool is empty.
+    seeding continues until the pool is empty. The search runs on an
+    attribute-major copy of the pool's rows, compacted after every cluster.
     """
     alive = np.ones(x.shape[0], dtype=bool)
+    pool = np.arange(x.shape[0])
+    cols = np.ascontiguousarray(x.T)
     groups: list[np.ndarray] = []
     prev = None
-    while alive.any():
-        pool = np.flatnonzero(alive)
-        anchor = x[pool].mean(axis=0) if prev is None else x[prev]
-        seed = _farthest(x, pool, anchor)
+    while pool.size:
+        anchor = _record_mean(cols) if prev is None else x[prev]
+        seed = int(pool[np.argmax(sq_distances(cols, anchor))])
         members = build(seed, pool)
         alive[members] = False
         groups.append(members)
+        keep = alive[pool]
+        pool, cols = pool[keep], cols.compress(keep, axis=1)
         prev = seed if prev is None else None
     return partition_from_arrays(groups, x.shape[0])
+
+
+def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k smallest entries of d, ties at the k-th value toward the
+    lowest position: the first k entries of a stable argsort."""
+    kth = np.partition(d, k - 1)[k - 1]
+    mask = d < kth
+    tied = np.flatnonzero(d == kth)
+    mask[tied[: k - np.count_nonzero(mask)]] = True
+    return mask
 
 
 def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partition:
@@ -115,12 +174,12 @@ def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partiti
     """
     check_params(table.n, k)
     x = normalized_qi(table, params)
+    cols = np.ascontiguousarray(x.T)
 
     def build(seed: int, pool: np.ndarray) -> np.ndarray:
         if pool.size < 2 * k:
             return pool
-        d = ((x[pool] - x[seed]) ** 2).sum(axis=1)
-        return np.sort(pool[np.argsort(d, kind="stable")[:k]])
+        return pool[_k_smallest(sq_distances(cols.take(pool, axis=1), x[seed]), k)]
 
     return seeded_partition(x, build)
 

@@ -14,23 +14,33 @@ from .dataset import AnonymizedTable, Table, minmax_params
 from .emd import TableEmd, adjust_cluster_size, check_params, required_cluster_size
 from .merge import merge_until_tclose
 from .metrics import RunReport, make_report
-from .microagg import Partition, aggregate, normalized_qi, seeded_partition
+from .microagg import Partition, aggregate, normalized_qi, seeded_partition, sq_distances
 
 
 @dataclass
 class RankedSubsets:
-    """Working state for cluster construction: k subsets of record indices in
-    ascending confidential order. Non-central subsets hold exactly `baseline`
-    records; the n mod k leftover records sit in the central subset(s), with
-    a per-subset budget of extras still to hand out."""
+    """Working state for cluster construction: the k subsets of records in
+    ascending confidential order, held as the rows of one block.
 
-    subsets: list[np.ndarray]
+    Row i of `ids` holds subset i's record indices in ascending index order;
+    slots already taken, and the padding of rows shorter than the block, hold
+    -1. `sizes` counts each subset's records not yet taken. Non-central
+    subsets start with exactly `baseline` records; the n mod k leftover
+    records sit in the central subset(s), with a per-subset budget of extras
+    still to hand out. `coords` is the (q, k, width) block of the records'
+    normalized QI coordinates, +inf at taken and padding slots; build_cluster
+    fills it from its x on the first call.
+    """
+
+    ids: np.ndarray
+    sizes: np.ndarray
     baseline: int
     extras: list[int]
+    coords: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
-        return len(self.subsets)
+        return self.ids.shape[0]
 
 
 def split_subsets(table: Table, k: int) -> RankedSubsets:
@@ -54,49 +64,59 @@ def split_subsets(table: Table, k: int) -> RankedSubsets:
             extras[k // 2] = upper
 
     ranked = np.argsort(table.confidential_column(), kind="stable")
-    subsets = []
+    sizes = baseline + np.array(extras, dtype=np.int64)
+    ids = np.full((k, int(sizes.max())), -1, dtype=np.int64)
     at = 0
-    for i in range(k):
-        size = baseline + extras[i]
-        subsets.append(ranked[at : at + size])
+    for i, size in enumerate(sizes):
+        ids[i, :size] = np.sort(ranked[at : at + size])
         at += size
-    return RankedSubsets(subsets, baseline, extras)
-
-
-def _take_nearest(subset: np.ndarray, x: np.ndarray, seed_point: np.ndarray):
-    """QI-nearest record in the subset, ties toward the lowest record index;
-    returns the record and the subset without it."""
-    d = ((x[subset] - seed_point) ** 2).sum(axis=1)
-    tied = subset[d == d.min()]
-    pick = int(tied.min())
-    pos = int(np.flatnonzero(subset == pick)[0])
-    return pick, np.delete(subset, pos)
+    return RankedSubsets(ids, sizes, baseline, extras)
 
 
 def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
     """Build one cluster around a seed record: the QI-nearest record (rows of
     the normalized QI matrix x) from each subset, plus one extra from the
-    first central subset that still has extras to place. Consumes the chosen
-    records (and extras budget) from `ranked` and returns the sorted members;
-    cluster size is k or k + 1."""
-    seed_point = x[seed]
-    members = []
-    extra_taken = False
-    for i in range(ranked.k):
-        if ranked.subsets[i].size == 0:
-            raise ValueError(f"subset {i + 1} is empty")
-        pick, rest = _take_nearest(ranked.subsets[i], x, seed_point)
-        members.append(pick)
-        ranked.subsets[i] = rest
-        if not extra_taken and ranked.extras[i] > 0:
-            if rest.size == 0:
-                raise ValueError(f"subset {i + 1} is empty")
-            pick, rest = _take_nearest(rest, x, seed_point)
-            members.append(pick)
-            ranked.subsets[i] = rest
-            ranked.extras[i] -= 1
-            extra_taken = True
-    return np.sort(np.array(members, dtype=np.int64))
+    first central subset that still has extras to place; ties go to the
+    lowest record index. Consumes the chosen records (and extras budget) from
+    `ranked` and returns the sorted members; cluster size is k or k + 1.
+
+    One distance evaluation covers the whole block; the block is compacted
+    once half of its width has been taken.
+    """
+    if ranked.coords is None:
+        ranked.coords = x[ranked.ids].transpose(2, 0, 1).copy()
+        ranked.coords[:, ranked.ids < 0] = np.inf
+    extra = next((i for i, left in enumerate(ranked.extras) if left > 0), None)
+    need = np.ones(ranked.k, dtype=np.int64)
+    if extra is not None:
+        need[extra] = 2
+    short = ranked.sizes < need
+    if short.any():
+        raise ValueError(f"subset {short.argmax() + 1} is empty")
+
+    d = sq_distances(ranked.coords, x[seed])
+    rows = np.arange(ranked.k)
+    slots = d.argmin(axis=1)
+    if extra is not None:
+        d[extra, slots[extra]] = np.inf
+        rows = np.append(rows, extra)
+        slots = np.append(slots, d[extra].argmin())
+        ranked.extras[extra] -= 1
+    members = ranked.ids[rows, slots]
+    ranked.ids[rows, slots] = -1
+    ranked.coords[:, rows, slots] = np.inf
+    ranked.sizes -= need
+    if 2 * ranked.sizes.max() <= ranked.ids.shape[1]:
+        _compact(ranked)
+    return np.sort(members)
+
+
+def _compact(ranked: RankedSubsets) -> None:
+    """Shrink the block to the longest subset, keeping each row's records
+    first and in order."""
+    order = np.argsort(ranked.ids < 0, axis=1, kind="stable")[:, : ranked.sizes.max()]
+    ranked.ids = np.take_along_axis(ranked.ids, order, axis=1)
+    ranked.coords = np.take_along_axis(ranked.coords, order[np.newaxis], axis=2)
 
 
 def run_tfirst_algorithm(

@@ -1,0 +1,201 @@
+"""The vectorised seeding, MDAV and tfirst builds against the scan-per-pick
+loops they replaced, kept here as reference oracles.
+
+The squared-distance helper and the compacted anchor must match numpy's
+row-major reductions bit for bit, and the partitions must be identical,
+cluster order included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tcmicro import (
+    AttributeSpec,
+    Role,
+    SynthConfig,
+    Table,
+    adjust_cluster_size,
+    build_cluster,
+    mdav_partition,
+    minmax_params,
+    normalized_qi,
+    split_subsets,
+    synth_generate,
+)
+from tcmicro.microagg import _record_mean, seeded_partition, sq_distances
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def oracle_seeding(x: np.ndarray, build) -> list[np.ndarray]:
+    """MDAV's alternating farthest-point seeding over an alive mask, with the
+    pool's rows gathered afresh for every seed."""
+    alive = np.ones(x.shape[0], dtype=bool)
+    groups = []
+    prev = None
+    while alive.any():
+        pool = np.flatnonzero(alive)
+        anchor = x[pool].mean(axis=0) if prev is None else x[prev]
+        seed = int(pool[int(np.argmax(((x[pool] - anchor) ** 2).sum(axis=1)))])
+        members = build(seed, pool)
+        alive[members] = False
+        groups.append(members)
+        prev = seed if prev is None else None
+    return groups
+
+
+def oracle_mdav(x: np.ndarray, k: int) -> list[np.ndarray]:
+    def build(seed, pool):
+        if pool.size < 2 * k:
+            return pool
+        d = ((x[pool] - x[seed]) ** 2).sum(axis=1)
+        return np.sort(pool[np.argsort(d, kind="stable")[:k]])
+
+    return oracle_seeding(x, build)
+
+
+def oracle_tfirst(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
+    """tfirst's one-record-per-subset build as a scan of each subset per pick
+    followed by a copy of the subset without the pick."""
+    baseline, leftover = divmod(table.n, k)
+    extras = [0] * k
+    if leftover:
+        if k % 2 == 1:
+            extras[(k - 1) // 2] = leftover
+        else:
+            extras[k // 2 - 1] = leftover - leftover // 2
+            extras[k // 2] = leftover // 2
+    ranked = np.argsort(table.confidential_column(), kind="stable")
+    subsets, at = [], 0
+    for i in range(k):
+        subsets.append(ranked[at : at + baseline + extras[i]])
+        at += baseline + extras[i]
+
+    def take_nearest(subset, point):
+        d = ((x[subset] - point) ** 2).sum(axis=1)
+        pick = int(subset[d == d.min()].min())
+        return pick, np.delete(subset, int(np.flatnonzero(subset == pick)[0]))
+
+    def build(seed, pool):
+        members = []
+        extra_taken = False
+        for i in range(k):
+            pick, subsets[i] = take_nearest(subsets[i], x[seed])
+            members.append(pick)
+            if not extra_taken and extras[i] > 0:
+                pick, subsets[i] = take_nearest(subsets[i], x[seed])
+                members.append(pick)
+                extras[i] -= 1
+                extra_taken = True
+        return np.sort(np.array(members, dtype=np.int64))
+
+    return oracle_seeding(x, build)
+
+
+def tfirst_groups(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
+    ranked = split_subsets(table, k)
+    part = seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
+    return [c.members for c in part.clusters]
+
+
+def assert_same_groups(got, want):
+    assert [g.tolist() for g in got] == [np.sort(w).tolist() for w in want]
+
+
+def make_table(qi: np.ndarray, conf: np.ndarray) -> Table:
+    specs = tuple(AttributeSpec(f"q{j}", Role.QUASI_IDENTIFIER) for j in range(qi.shape[1]))
+    return Table(specs + (AttributeSpec("s", Role.CONFIDENTIAL),), np.column_stack([qi, conf]))
+
+
+QS = list(range(1, 21)) + [64, 129, 300]
+
+
+def data(kind: str, m: int, q: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.random((m, q))
+    # few distinct values a third apart: many distances tie in real arithmetic
+    return rng.integers(0, 4, (m, q)) / 3.0
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_row_sum_bit_for_bit(self, q, kind):
+        x = data(kind, 3000, q, q)
+        for point in (x[7], x.mean(axis=0)):
+            want = ((x - point) ** 2).sum(axis=1)
+            assert same_bits(sq_distances(np.ascontiguousarray(x.T), point), want)
+
+    @pytest.mark.parametrize("q", [1, 4, 8, 9, 17])
+    def test_block_shape_and_infinite_slots(self, q):
+        x = data("tied", 60, q, 100 + q)
+        block = x.reshape(5, 12, q)
+        want = ((block - x[3]) ** 2).sum(axis=-1)
+        cols = block.transpose(2, 0, 1).copy()
+        cols[:, 1, 4] = np.inf
+        want[1, 4] = np.inf
+        assert same_bits(sq_distances(cols, x[3]), want)
+
+
+class TestRecordMean:
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("q", QS)
+    def test_matches_row_mean_bit_for_bit(self, q, kind):
+        x = data(kind, 5000, q, 50 + q)
+        pool = np.flatnonzero(np.random.default_rng(q).random(5000) < 0.7)
+        for rows in (pool, pool[:1], pool[:9], pool[:130]):
+            assert same_bits(_record_mean(np.ascontiguousarray(x[rows].T)), x[rows].mean(axis=0))
+
+
+@st.composite
+def tables(draw):
+    """Small tables with duplicate QI rows, tied confidential values and up
+    to 10 QIs, plus a working size k' with n = k' * baseline + extras and
+    extras <= baseline."""
+    k = draw(st.integers(2, 8))
+    baseline = draw(st.integers(1, 6))
+    n = k * baseline + draw(st.integers(0, min(baseline, k - 1)))
+    q = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    rows = rng.integers(0, 4, (distinct, q)) / draw(st.sampled_from([1.0, 3.0, 7.0]))
+    qi = rows[rng.integers(0, distinct, n)]
+    conf = rng.integers(0, draw(st.integers(1, n)), n).astype(float)
+    return make_table(qi, conf), k
+
+
+@SETTINGS
+@given(tables())
+def test_tfirst_block_matches_scan_and_delete(case):
+    table, k = case
+    x = normalized_qi(table, minmax_params(table))
+    assert_same_groups(tfirst_groups(table, k, x), oracle_tfirst(table, k, x))
+
+
+@SETTINGS
+@given(tables())
+def test_mdav_matches_argsort_build(case):
+    table, k = case
+    x = normalized_qi(table, minmax_params(table))
+    part = mdav_partition(table, minmax_params(table), k)
+    assert_same_groups([c.members for c in part.clusters], oracle_mdav(x, k))
+
+
+@pytest.mark.parametrize(
+    "n, q, k",
+    [(500, 9, 8), (500, 4, 7), (301, 2, 10), (244, 12, 6)],
+)
+def test_tfirst_block_matches_oracle_with_compaction(n, q, k):
+    # k even or odd with n mod k extras in the central subsets; a few hundred
+    # records, so the block is compacted several times
+    table = synth_generate(SynthConfig(n=n, qi_count=q, target_correlation=0.52, seed=n + q))
+    assert adjust_cluster_size(n, k) == k
+    x = normalized_qi(table, minmax_params(table))
+    assert_same_groups(tfirst_groups(table, k, x), oracle_tfirst(table, k, x))

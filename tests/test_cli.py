@@ -1,10 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from tcmicro import mdav_partition, minmax_params
-from tcmicro.cli import main
+from tcmicro.cli import _partition_from_ids, main
 from tcmicro.dataset import load_csv
 from tcmicro.cli import read_roles
 
@@ -114,6 +115,12 @@ def test_verify_empty_release_is_usage_error(tmp_path, synth_files, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "file is empty" in err
+
+
+def test_partition_from_ids_unsorted_with_gaps():
+    ids = np.array([7, 2, 7, 9, 2, 2, 40, 7])
+    part = _partition_from_ids(ids)
+    assert [c.members.tolist() for c in part.clusters] == [[1, 4, 5], [0, 2, 7], [3], [6]]
 
 
 class TestVerify:

@@ -27,23 +27,31 @@ def build(seed, ranked, table):
     return build_cluster(seed, ranked, normalized_qi(table, minmax_params(table)))
 
 
+def remaining(ranked):
+    """Each subset's records not yet taken, ascending."""
+    return [row[row >= 0] for row in ranked.ids]
+
+
 class TestSplitSubsets:
     def test_exact_division(self):
         t = make_ranks_table(6)
         ranked = split_subsets(t, 2)
-        assert [list(s) for s in ranked.subsets] == [[0, 1, 2], [3, 4, 5]]
+        assert ranked.ids.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert ranked.sizes.tolist() == [3, 3]
         assert ranked.extras == [0, 0]
 
     def test_odd_k_extras_in_middle(self):
         t = make_ranks_table(11)
         ranked = split_subsets(t, 3)
-        assert [s.size for s in ranked.subsets] == [3, 5, 3]
+        assert ranked.sizes.tolist() == [3, 5, 3]
+        assert ranked.ids.tolist() == [[0, 1, 2, -1, -1], [3, 4, 5, 6, 7], [8, 9, 10, -1, -1]]
         assert ranked.extras == [0, 2, 0]
 
     def test_even_k_extras_split_between_central(self):
         t = make_ranks_table(10)
         ranked = split_subsets(t, 4)
-        assert [s.size for s in ranked.subsets] == [2, 3, 3, 2]
+        assert [s.size for s in remaining(ranked)] == [2, 3, 3, 2]
+        assert ranked.sizes.tolist() == [2, 3, 3, 2]
         assert ranked.extras == [0, 1, 1, 0]
 
     def test_subsets_follow_confidential_order(self):
@@ -52,8 +60,11 @@ class TestSplitSubsets:
         t = small_table(12, 1)
         t = type(t)(t.specs, np.column_stack([t.qi_matrix(), conf]))
         ranked = split_subsets(t, 3)
-        joined = np.concatenate(ranked.subsets)
-        assert np.all(np.diff(conf[joined]) > 0)
+        subsets = remaining(ranked)
+        for lower, upper in zip(subsets, subsets[1:]):
+            assert conf[lower].max() < conf[upper].min()
+        for s in subsets:
+            assert np.all(np.diff(s) > 0)
 
     def test_precondition_violation(self):
         t = make_ranks_table(10)
@@ -68,7 +79,8 @@ class TestBuildCluster:
         ranked = split_subsets(t, 3)
         c = build(0, ranked, t)
         assert len(c) == 3
-        assert all(s.size == 3 for s in ranked.subsets)
+        assert all(s.size == 3 for s in remaining(ranked))
+        assert ranked.sizes.tolist() == [3, 3, 3]
 
     def test_extras_consumed_first_clusters(self):
         t = make_ranks_table(11)  # k=3 -> baseline 3, 2 extras in the middle
@@ -82,7 +94,7 @@ class TestBuildCluster:
     def test_one_record_per_subset(self):
         t = make_ranks_table(12)
         ranked = split_subsets(t, 4)
-        starts = [set(s) for s in ranked.subsets]
+        starts = [set(s) for s in remaining(ranked)]
         c = build(3, ranked, t)
         for block in starts:
             assert len(block & set(c)) == 1
@@ -92,6 +104,18 @@ class TestBuildCluster:
         bound = max_emd_bound(6, 2)
         for a, b in product(range(3), range(3, 6)):
             assert TableEmd(t).cluster_emd([a, b]) <= bound + 1e-12
+
+    def test_block_compacts_once_half_taken(self):
+        t = small_table(60, 9)
+        x = normalized_qi(t, minmax_params(t))
+        ranked = split_subsets(t, 5)  # 5 subsets of 12 records
+        taken = set()
+        for built in range(1, 7):
+            taken |= set(build_cluster(built, ranked, x).tolist())
+            assert ranked.ids.shape == (5, 12 if built < 6 else 6)
+        assert len(taken) == 30
+        assert (ranked.ids >= 0).all() and not taken & set(ranked.ids.ravel().tolist())
+        assert np.array_equal(ranked.coords, x[ranked.ids].transpose(2, 0, 1))
 
     def test_empty_subset_rejected(self):
         t = make_ranks_table(4)
@@ -132,7 +156,8 @@ class TestRunTfirst:
         baseline = ranked.baseline
         for built in range(1, 4):
             build(built, ranked, t)
-            assert all(s.size == baseline - built for s in ranked.subsets)
+            assert all(s.size == baseline - built for s in remaining(ranked))
+            assert ranked.sizes.tolist() == [baseline - built] * 5
 
     def test_nondivisible_sizes_and_guarantee(self):
         t = small_table(101, 11)
@@ -168,7 +193,7 @@ class TestRunTfirst:
         # visible unmodified in the output
         t = small_table(120, 31)
         _, part, _ = run_tfirst_algorithm(t, 3, 0.1)
-        blocks = [set(s) for s in split_subsets(t, 5).subsets]
+        blocks = [set(s) for s in remaining(split_subsets(t, 5))]
         assert len(part) == 24
         for c in part.clusters:
             assert [len(set(c.members) & b) for b in blocks] == [1] * 5
