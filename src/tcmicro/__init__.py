@@ -39,7 +39,6 @@ from .microagg import (
     Cluster,
     Partition,
     aggregate,
-    centroid,
     mdav_partition,
     normalized_qi,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "adjust_cluster_size",
     "aggregate",
     "build_cluster",
-    "centroid",
     "cluster_size_stats",
     "distribution_of",
     "emd_ordered",

@@ -169,7 +169,18 @@ def cmd_verify(args) -> int:
             f"t-closeness (t={args.t}): FAIL (cluster {t_check.worst_cluster} has EMD "
             f"{t_check.max_emd:.6f} > {args.t})"
         )
-    return EXIT_OK if (k_check.ok and t_check.ok) else EXIT_VERIFY
+    before, after = original.confidential_column(), anonymized.table.confidential_column()
+    changed = np.flatnonzero(before != after)
+    if changed.size:
+        row = int(changed[0])
+        print(
+            f"confidential column: FAIL (first differing row {row + 1}: "
+            f"original {float(before[row])!r}, release {float(after[row])!r})"
+        )
+    else:
+        print("confidential column: PASS (unchanged row for row)")
+    ok = k_check.ok and t_check.ok and not changed.size
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 _BENCH_FIELDS = [

@@ -133,11 +133,66 @@ def minmax_params(table: Table) -> NormalizationParams:
     return NormalizationParams(names, qi.min(axis=0), qi.max(axis=0))
 
 
-def _read_header(reader, path) -> list[str]:
-    try:
-        return [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ValueError(f"{path}: file is empty") from None
+def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], drop_missing: bool):
+    """Read a UTF-8 CSV whose header is the declared columns, in any order,
+    followed by the integer `trailing` columns. Returns the specs in file
+    order, the kept rows' declared cells as floats and their trailing cells as
+    one flat list of ints."""
+    by_name = {spec.name: spec for spec in roles}
+    if len(by_name) != len(roles):
+        raise ValueError("duplicate attribute names in roles")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        width = len(header) - len(trailing)
+        if tuple(header[width:]) != trailing:
+            raise ValueError(f"{path}: expected a trailing {', '.join(trailing)} column")
+        names = header[:width]
+        for name in names:
+            if name not in by_name:
+                raise ValueError(f"unknown column '{name}': no role declared for it")
+        missing_cols = set(by_name) - set(names)
+        if missing_cols:
+            raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
+        specs = tuple(by_name[name] for name in names)
+
+        rows, tails = [], []
+        for row_no, raw in enumerate(reader, start=1):
+            if not "".join(raw).strip():
+                continue
+            if len(raw) != len(header):
+                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
+            try:
+                values = list(map(float, raw[:width]))
+                tail = list(map(int, raw[width:]))
+            except ValueError:
+                try:
+                    values, tail = _parse_cells(header, raw, width)
+                except ValueError as exc:
+                    if drop_missing:
+                        continue
+                    raise ValueError(f"row {row_no}, {exc}") from None
+            rows.append(values)
+            tails += tail
+    if not rows:
+        raise ValueError(f"{path}: no usable rows after parsing")
+    return specs, rows, tails
+
+
+def _parse_cells(header: list[str], raw: list[str], width: int):
+    """Cell-by-cell parse of a row the whole-row parse rejects: each cell
+    is stripped first (str.strip also drops the \\x1c-\\x1f separators, which
+    float rejects), and the first bad cell is named."""
+    cells = []
+    for i, (name, cell) in enumerate(zip(header, raw)):
+        try:
+            cells.append(float(cell.strip()) if i < width else int(cell.strip()))
+        except ValueError:
+            raise ValueError(f"column '{name}': missing or unparseable cell") from None
+    return cells[:width], cells[width:]
 
 
 def load_csv(
@@ -152,78 +207,16 @@ def load_csv(
     or unparseable cell is dropped when drop_missing is set, otherwise it is an
     error naming the row and column.
     """
-    by_name = {spec.name: spec for spec in roles}
-    if len(by_name) != len(roles):
-        raise ValueError("duplicate attribute names in roles")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        for name in header:
-            if name not in by_name:
-                raise ValueError(f"unknown column '{name}': no role declared for it")
-        missing_cols = set(by_name) - set(header)
-        if missing_cols:
-            raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
-        specs = tuple(by_name[name] for name in header)
-
-        parsed_rows = []
-        for row_no, raw in enumerate(reader, start=1):
-            if not raw or all(cell.strip() == "" for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
-            values = []
-            bad_col = None
-            for col, cell in zip(header, raw):
-                cell = cell.strip()
-                if cell == "":
-                    bad_col = col
-                    break
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    bad_col = col
-                    break
-            if bad_col is not None:
-                if drop_missing:
-                    continue
-                raise ValueError(f"row {row_no}, column '{bad_col}': missing or unparseable cell")
-            parsed_rows.append(values)
-
-    if not parsed_rows:
-        raise ValueError(f"{path}: no usable rows after parsing")
-    return Table(specs, np.array(parsed_rows, dtype=np.float64))
+    specs, rows, _ = _read_csv(path, roles, (), drop_missing)
+    return Table(specs, np.array(rows, dtype=np.float64))
 
 
 def load_anonymized_csv(path: Union[str, Path], roles: Sequence[AttributeSpec]) -> AnonymizedTable:
     """Load an anonymized release written by write_csv: the declared columns
-    plus a trailing integer cluster_id column."""
-    by_name = {spec.name: spec for spec in roles}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        if not header or header[-1] != "cluster_id":
-            raise ValueError(f"{path}: expected a trailing cluster_id column")
-        value_cols = header[:-1]
-        for name in value_cols:
-            if name not in by_name:
-                raise ValueError(f"unknown column '{name}': no role declared for it")
-        specs = tuple(by_name[name] for name in value_cols)
-        rows = []
-        ids = []
-        for row_no, raw in enumerate(reader, start=1):
-            if not raw or all(cell.strip() == "" for cell in raw):
-                continue
-            if len(raw) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
-            try:
-                rows.append([float(c) for c in raw[:-1]])
-                ids.append(int(raw[-1]))
-            except ValueError:
-                raise ValueError(f"row {row_no}: unparseable cell") from None
-    if not rows:
-        raise ValueError(f"{path}: no usable rows after parsing")
-    return AnonymizedTable(Table(specs, np.array(rows)), np.array(ids, dtype=np.int64))
+    plus a trailing integer cluster_id column, read with load_csv's checks."""
+    specs, rows, ids = _read_csv(path, roles, ("cluster_id",), False)
+    table = Table(specs, np.array(rows, dtype=np.float64))
+    return AnonymizedTable(table, np.array(ids, dtype=np.int64))
 
 
 def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> None:

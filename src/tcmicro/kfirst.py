@@ -4,16 +4,16 @@ t-closeness, which cluster construction alone cannot."""
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
-from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
+from .dataset import AnonymizedTable, NormalizationParams, Table
 from .emd import TableEmd, check_params
-from .merge import merge_until_tclose
-from .metrics import RunReport, make_report
-from .microagg import Partition, aggregate, normalized_qi, seeded_partition
+from .merge import release
+from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
+from .metrics import RunReport
+from .microagg import Partition, normalized_qi, seeded_partition
 
 
 class _SwapEmd:
@@ -125,14 +125,7 @@ def run_kfirst_algorithm(
 ) -> tuple[AnonymizedTable, Partition, RunReport]:
     """k-Anonymity-first partition followed by the merge pass as the hard
     t-closeness guarantee, then aggregation."""
-    check_params(table.n, k, tau)
-    start = time.perf_counter()
-    params, ctx = minmax_params(table), TableEmd(table)
-    partition = kfirst_partition(table, k, tau, params, ctx)
-    partition = merge_until_tclose(table, partition, tau, params, ctx)
-    anonymized = aggregate(table, partition)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report(
-        "kfirst", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    return release(
+        "kfirst", table, k, tau, seed,
+        lambda params, ctx: kfirst_partition(table, k, tau, params, ctx),
     )
-    return anonymized, partition, report

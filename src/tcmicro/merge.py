@@ -4,7 +4,7 @@ by merging of clusters until every cluster is t-close."""
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,19 +58,33 @@ def merge_until_tclose(
     return partition_from_arrays(groups, table.n)
 
 
+def release(
+    algorithm: str, table: Table, k: int, tau: float, seed: Optional[int],
+    partition_step: Callable[[NormalizationParams, TableEmd], Partition],
+) -> tuple[AnonymizedTable, Partition, RunReport]:
+    """The release every pipeline shares: check the parameters, build the
+    normalization and the confidential-rank context once, take the partition
+    from partition_step(params, ctx), merge until t-close, aggregate and
+    report. The reported runtime covers everything but the parameter check
+    and the report itself."""
+    check_params(table.n, k, tau)
+    start = time.perf_counter()
+    params, ctx = minmax_params(table), TableEmd(table)
+    partition = partition_step(params, ctx)
+    partition = merge_until_tclose(table, partition, tau, params, ctx)
+    anonymized = aggregate(table, partition)
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    report = make_report(
+        algorithm, table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    )
+    return anonymized, partition, report
+
+
 def run_merge_algorithm(
     table: Table, k: int, tau: float, seed: Optional[int] = None
 ) -> tuple[AnonymizedTable, Partition, RunReport]:
     """MDAV partition, merge until t-close, aggregate. The output satisfies
     k-anonymity at level k and t-closeness at tau."""
-    check_params(table.n, k, tau)
-    start = time.perf_counter()
-    params, ctx = minmax_params(table), TableEmd(table)
-    partition = mdav_partition(table, params, k)
-    partition = merge_until_tclose(table, partition, tau, params, ctx)
-    anonymized = aggregate(table, partition)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report(
-        "merge", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
+    return release(
+        "merge", table, k, tau, seed, lambda params, ctx: mdav_partition(table, params, k)
     )
-    return anonymized, partition, report

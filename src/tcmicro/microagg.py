@@ -68,13 +68,6 @@ def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
     return out
 
 
-def centroid(table: Table, cluster: Cluster) -> np.ndarray:
-    """Per-QI arithmetic mean of a cluster, in original units."""
-    if len(cluster) == 0:
-        raise ValueError("cluster is empty")
-    return table.qi_matrix()[cluster.members].mean(axis=0)
-
-
 def sq_distances(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from point to records stored
     attribute-major: cols[j] holds attribute j of every record, in any shape.

@@ -4,17 +4,17 @@ holds by construction and no EMD is evaluated while clustering."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dataset import AnonymizedTable, Table, minmax_params
-from .emd import TableEmd, adjust_cluster_size, check_params, required_cluster_size
-from .merge import merge_until_tclose
-from .metrics import RunReport, make_report
-from .microagg import Partition, aggregate, normalized_qi, seeded_partition, sq_distances
+from .dataset import AnonymizedTable, Table
+from .emd import adjust_cluster_size, check_params, required_cluster_size
+from .merge import release
+from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
+from .metrics import RunReport
+from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
 
 
 @dataclass
@@ -132,17 +132,11 @@ def run_tfirst_algorithm(
     approximate, so the merge pass enforces tau in all cases (it returns an
     already t-close partition unchanged).
     """
-    n = table.n
-    check_params(n, k, tau)
-    start = time.perf_counter()
-    params, ctx = minmax_params(table), TableEmd(table)
-    ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
-    x = normalized_qi(table, params)
-    partition = seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
-    partition = merge_until_tclose(table, partition, tau, params, ctx)
-    anonymized = aggregate(table, partition)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    report = make_report(
-        "tfirst", table, params, ctx, partition, anonymized, k, tau, runtime_ms, seed
-    )
-    return anonymized, partition, report
+
+    def partition_step(params, ctx):
+        n = table.n
+        ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
+        x = normalized_qi(table, params)
+        return seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
+
+    return release("tfirst", table, k, tau, seed, partition_step)

@@ -144,7 +144,7 @@ class TestVerify:
         ])
         assert rc == 0
         captured = capsys.readouterr().out
-        assert captured.count("PASS") == 2
+        assert captured.count("PASS") == 3
 
     def test_tampered_cell_fails_k_anonymity(self, release, capsys, tmp_path):
         data, roles, out = release
@@ -170,6 +170,47 @@ class TestVerify:
         assert rc == 2
         captured = capsys.readouterr().out
         assert "t-closeness" in captured and "FAIL" in captured and "cluster" in captured
+
+
+def _constant_confidential(header, rows):
+    col = header.index("conf")
+    for row in rows:
+        row[col] = "12345.5"
+    return header, rows
+
+
+def _drop_qi1(header, rows):
+    col = header.index("qi1")
+    return header[:col] + header[col + 1:], [row[:col] + row[col + 1:] for row in rows]
+
+
+@pytest.mark.parametrize("tamper, code, message", [
+    (_constant_confidential, 2, "confidential column: FAIL (first differing row 1:"),
+    (_drop_qi1, 1, "declared columns missing from file: ['qi1']"),
+], ids=["constant-confidential", "missing-qi1"])
+def test_verify_rejects_tampered_tfirst_release(
+    tmp_path, synth_files, capsys, tamper, code, message
+):
+    data, roles = synth_files
+    out = tmp_path / "anon.csv"
+    assert main([
+        "anonymize", "--input", str(data), "--roles", str(roles),
+        "--algorithm", "tfirst", "--k", "2", "--t", "0.1", "--output", str(out),
+    ]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    header, rows = tamper(header, rows)
+    tampered = tmp_path / "tampered.csv"
+    with open(tampered, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    capsys.readouterr()
+    rc = main([
+        "verify", "--input", str(data), "--anonymized", str(tampered),
+        "--roles", str(roles), "--k", "2", "--t", "0.1",
+    ])
+    assert rc == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
 
 
 def test_bench_grid_records_failures_per_cell(tmp_path, capsys):

@@ -100,6 +100,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="no usable rows"):
             load_csv(path, ROLES, drop_missing=True)
 
+    def test_cells_stripped_like_str_strip(self, tmp_path):
+        # float() rejects the \x1c-\x1f separators that str.strip removes;
+        # a row of whitespace-only cells is skipped like an empty line
+        path = write(tmp_path, "age,zip,income\n 30 ,\x1f100\x1c,50\n \t, ,\x1c\n\n")
+        t = load_csv(path, ROLES)
+        assert t.rows.tolist() == [[30.0, 100.0, 50.0]]
+
     def test_column_order_follows_file(self, tmp_path):
         path = write(tmp_path, "income,age,zip\n50,30,100\n60,40,200\n")
         t = load_csv(path, ROLES)
@@ -150,6 +157,20 @@ class TestWriteCsv:
         back = load_anonymized_csv(path, ROLES)
         assert list(back.cluster_ids) == [0, 0, 1, 1]
         assert np.allclose(back.table.rows, t.rows, atol=1e-9, rtol=0)
+
+    @pytest.mark.parametrize("text, roles, message", [
+        ("age,zip,income,cluster_id\n1,2,3,0\n4,x,6,0\n", ROLES, r"row 2, column 'zip'"),
+        ("age,zip,income,cluster_id\n1,2,3,0.5\n", ROLES, r"row 1, column 'cluster_id'"),
+        ("age,zip,income,cluster_id\n1,2,3,\n", ROLES, r"row 1, column 'cluster_id'"),
+        ("age,income,cluster_id\n1,3,0\n", ROLES, "declared columns missing from file"),
+        ("age,zip,income,cluster_id\n1,2,3,0\n", ROLES + ROLES[:1], "duplicate attribute"),
+        ("age,zip,income\n1,2,3\n", ROLES, "trailing cluster_id column"),
+    ], ids=["bad-cell", "fractional-id", "empty-id", "missing-column", "duplicate-role",
+            "no-cluster-id"])
+    def test_bad_release_rejected(self, tmp_path, text, roles, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError, match=message):
+            load_anonymized_csv(path, roles)
 
 
 class TestSynth:

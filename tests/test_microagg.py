@@ -10,7 +10,6 @@ from tcmicro import (
     Role,
     Table,
     aggregate,
-    centroid,
     mdav_partition,
     minmax_params,
     normalized_qi,
@@ -69,28 +68,6 @@ class TestRecordDistance:
     def test_symmetry(self):
         t = random_table(10, 2)
         assert record_distance(t, 2, 7) == record_distance(t, 7, 2)
-
-
-class TestCentroid:
-    def test_singleton(self):
-        t = make_1d_table([4, 9], [1, 2])
-        assert centroid(t, Cluster([1]))[0] == 9.0
-
-    def test_mean_of_endpoints(self):
-        t = make_1d_table([0, 10], [1, 2])
-        assert centroid(t, Cluster([0, 1]))[0] == 5.0
-
-    def test_minimizes_within_cluster_squared_distance(self):
-        t = random_table(12, 8)
-        params = minmax_params(t)
-        x = normalized_qi(t, params)
-        members = np.array([0, 3, 5, 9])
-        c = (centroid(t, Cluster(members)) - params.mins) / params.spans
-        base = ((x[members] - c) ** 2).sum()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            perturbed = c + rng.uniform(-0.05, 0.05, size=c.shape)
-            assert ((x[members] - perturbed) ** 2).sum() >= base - 1e-12
 
 
 class TestMdav:

@@ -1,0 +1,53 @@
+"""The names bench/spans.py patches in the pipeline modules still feed it.
+
+The benchmark tracer wraps module-level names in each pipeline module; a step
+that binds one of them at import time, or a module that stops importing one,
+silently empties a per-layer metric or breaks the tracer's install.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from tcmicro import cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import spans  # noqa: E402
+
+SHARED = {"merge.merge_until_tclose", "microagg.aggregate", "metrics.make_report"}
+PARTITION_SPAN = {
+    "merge": "microagg.mdav_partition",
+    "kfirst": "kfirst.kfirst_partition",
+    "tfirst": "tfirst.split_subsets",
+}
+
+
+@pytest.fixture(scope="module")
+def synth_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("trace")
+    data, roles = d / "data.csv", d / "roles.cfg"
+    assert cli.main(["synth", "--n", "120", "--rho", "0.52", "--seed", "3",
+                     "--output", str(data), "--roles-out", str(roles)]) == 0
+    return data, roles
+
+
+@pytest.mark.parametrize("algorithm", sorted(PARTITION_SPAN))
+def test_pipeline_spans_and_merge_parent(algorithm, synth_files, tmp_path):
+    data, roles = synth_files
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["anonymize", "--input", str(data), "--roles", str(roles),
+                       "--algorithm", algorithm, "--k", "2", "--t", "0.1",
+                       "--output", str(tmp_path / "anon.csv"),
+                       "--report", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    names = [span.name for span in tracer.spans]
+    assert SHARED | {PARTITION_SPAN[algorithm]} <= set(names)
+    assert names.count("merge.merge_until_tclose") == 1
+    merge_span = next(s for s in tracer.spans if s.name == "merge.merge_until_tclose")
+    parent = tracer.spans[merge_span.parent].name
+    assert parent == f"{algorithm}.run_{algorithm}_algorithm"
