@@ -5,15 +5,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .dataset import (
+    AnonymizedTable,
     AttributeSpec,
     Role,
     SynthConfig,
+    Table,
     achieved_correlation,
     load_anonymized_csv,
     load_csv,
@@ -22,7 +25,7 @@ from .dataset import (
 )
 from .kfirst import run_kfirst_algorithm
 from .merge import run_merge_algorithm
-from .metrics import verify_k_anonymity, verify_t_closeness
+from .metrics import RunReport, verify_k_anonymity, verify_t_closeness
 from .microagg import partition_from_arrays
 from .tfirst import run_tfirst_algorithm
 
@@ -98,25 +101,14 @@ def cmd_anonymize(args) -> int:
     _check_params(args.k, args.t)
     roles = read_roles(args.roles)
     table = load_csv(args.input, roles, drop_missing=args.drop_missing)
-    runner = ALGORITHMS[args.algorithm]
-    anonymized, partition, report = runner(table, args.k, args.t, seed=args.seed)
+    anonymized, _, report = ALGORITHMS[args.algorithm](table, args.k, args.t, seed=args.seed)
 
-    k_check = verify_k_anonymity(anonymized, args.k)
-    t_check = verify_t_closeness(table, partition, args.t)
-    if not (k_check.ok and t_check.ok):
+    failed = [line for passed, line in _check_release(table, anonymized, args.k, args.t)
+              if not passed]
+    if failed:
         print("internal verification failed, refusing to write output:", file=sys.stderr)
-        if not k_check.ok:
-            print(
-                f"  k-anonymity: combination {k_check.witness} occurs in "
-                f"{k_check.min_count} < {args.k} rows",
-                file=sys.stderr,
-            )
-        if not t_check.ok:
-            print(
-                f"  t-closeness: cluster {t_check.worst_cluster} has EMD "
-                f"{t_check.max_emd:.6f} > {args.t}",
-                file=sys.stderr,
-            )
+        for line in failed:
+            print(f"  {line}", file=sys.stderr)
         return EXIT_VERIFY
 
     write_csv(anonymized, args.output)
@@ -142,6 +134,30 @@ def _partition_from_ids(cluster_ids: np.ndarray):
     return partition_from_arrays(np.split(order, cuts), cluster_ids.size)
 
 
+def _check_release(original: Table, anonymized: AnonymizedTable, k: int, t: float):
+    """The checks a release of `original` must pass, as (passed, line) pairs:
+    k-anonymity of the published QI rows, t-closeness of the classes its
+    cluster_ids declare, and the confidential column unchanged row for row."""
+    k_check = verify_k_anonymity(anonymized, k)
+    k_line = (f"PASS (smallest equivalence class {k_check.min_count})" if k_check.ok else
+              f"FAIL (combination {k_check.witness} occurs in {k_check.min_count} rows)")
+    t_check = verify_t_closeness(original, _partition_from_ids(anonymized.cluster_ids), t)
+    t_line = (f"PASS (max cluster EMD {t_check.max_emd:.6f})" if t_check.ok else
+              f"FAIL (cluster {t_check.worst_cluster} has EMD {t_check.max_emd:.6f} > {t})")
+    before, after = original.confidential_column(), anonymized.table.confidential_column()
+    changed = np.flatnonzero(before != after)
+    c_line = "PASS (unchanged row for row)"
+    if changed.size:
+        row = int(changed[0])
+        c_line = (f"FAIL (first differing row {row + 1}: "
+                  f"original {float(before[row])!r}, release {float(after[row])!r})")
+    return [
+        (k_check.ok, f"k-anonymity (k={k}): {k_line}"),
+        (t_check.ok, f"t-closeness (t={t}): {t_line}"),
+        (not changed.size, f"confidential column: {c_line}"),
+    ]
+
+
 def cmd_verify(args) -> int:
     _check_params(args.k, args.t)
     roles = read_roles(args.roles)
@@ -151,52 +167,10 @@ def cmd_verify(args) -> int:
         raise ValueError(
             f"record count mismatch: original has {original.n}, anonymized has {anonymized.n}"
         )
-    partition = _partition_from_ids(anonymized.cluster_ids)
-
-    k_check = verify_k_anonymity(anonymized, args.k)
-    if k_check.ok:
-        print(f"k-anonymity (k={args.k}): PASS (smallest equivalence class {k_check.min_count})")
-    else:
-        print(
-            f"k-anonymity (k={args.k}): FAIL (combination {k_check.witness} occurs in "
-            f"{k_check.min_count} rows)"
-        )
-    t_check = verify_t_closeness(original, partition, args.t)
-    if t_check.ok:
-        print(f"t-closeness (t={args.t}): PASS (max cluster EMD {t_check.max_emd:.6f})")
-    else:
-        print(
-            f"t-closeness (t={args.t}): FAIL (cluster {t_check.worst_cluster} has EMD "
-            f"{t_check.max_emd:.6f} > {args.t})"
-        )
-    before, after = original.confidential_column(), anonymized.table.confidential_column()
-    changed = np.flatnonzero(before != after)
-    if changed.size:
-        row = int(changed[0])
-        print(
-            f"confidential column: FAIL (first differing row {row + 1}: "
-            f"original {float(before[row])!r}, release {float(after[row])!r})"
-        )
-    else:
-        print("confidential column: PASS (unchanged row for row)")
-    ok = k_check.ok and t_check.ok and not changed.size
-    return EXIT_OK if ok else EXIT_VERIFY
-
-
-_BENCH_FIELDS = [
-    "algorithm",
-    "n",
-    "k_requested",
-    "tau",
-    "k_min_actual",
-    "k_avg_actual",
-    "max_cluster_emd",
-    "sse",
-    "runtime_ms",
-    "seed",
-    "status",
-    "error",
-]
+    results = _check_release(original, anonymized, args.k, args.t)
+    for _, line in results:
+        print(line)
+    return EXIT_OK if all(passed for passed, _ in results) else EXIT_VERIFY
 
 
 def cmd_bench(args) -> int:
@@ -219,25 +193,20 @@ def cmd_bench(args) -> int:
                 try:
                     _check_params(k, t)
                     _, _, report = ALGORITHMS[name](table, k, t, seed=args.seed)
-                    fields = report.to_dict()
-                    row = {key: fields[key] for key in _BENCH_FIELDS[:10]}
-                    row["status"] = "ok"
-                    row["error"] = ""
+                    row = {**report.to_dict(), "status": "ok"}
                     print(
                         f"{cell}: min/avg {report.k_min_actual}/{report.k_avg_actual:.2f}, "
                         f"sse {report.sse:.6f}, {report.runtime_ms:.0f} ms"
                     )
                 except Exception as exc:  # a failing cell is recorded, not fatal
-                    row = {key: "" for key in _BENCH_FIELDS}
-                    row.update(
-                        algorithm=name, n=table.n, k_requested=k, tau=t,
-                        seed=args.seed, status="error", error=str(exc),
-                    )
+                    row = dict(algorithm=name, n=table.n, k_requested=k, tau=t,
+                               seed=args.seed, status="error", error=str(exc))
                     print(f"{cell}: ERROR {exc}")
                 rows.append(row)
 
     with open(args.report, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
+        fieldnames = [f.name for f in dataclasses.fields(RunReport)] + ["status", "error"]
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} report rows to {args.report}")

@@ -136,8 +136,9 @@ def minmax_params(table: Table) -> NormalizationParams:
 def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], drop_missing: bool):
     """Read a UTF-8 CSV whose header is the declared columns, in any order,
     followed by the integer `trailing` columns. Returns the specs in file
-    order, the kept rows' declared cells as floats and their trailing cells as
-    one flat list of ints."""
+    order, the kept rows' declared cells as an (n, declared) float array and
+    their trailing cells as an (n, trailing) int64 array. A cell that parses
+    to nan or an infinity counts as missing."""
     by_name = {spec.name: spec for spec in roles}
     if len(by_name) != len(roles):
         raise ValueError("duplicate attribute names in roles")
@@ -159,7 +160,7 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
             raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
         specs = tuple(by_name[name] for name in names)
 
-        rows, tails = [], []
+        rows, tails, row_nos = [], [], []
         for row_no, raw in enumerate(reader, start=1):
             if not "".join(raw).strip():
                 continue
@@ -177,9 +178,25 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
                     raise ValueError(f"row {row_no}, {exc}") from None
             rows.append(values)
             tails += tail
-    if not rows:
+            row_nos.append(row_no)
+    cells = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    try:
+        ids = np.array(tails, dtype=np.int64).reshape(len(rows), len(trailing))
+    except OverflowError:
+        i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
+        name = trailing[i % len(trailing)]
+        raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
+                         "integer out of range") from None
+    finite = np.isfinite(cells).all(axis=1)
+    if not finite.all():
+        if not drop_missing:
+            i = int(np.argmin(finite))
+            name = header[int(np.argmin(np.isfinite(cells[i])))]
+            raise ValueError(f"row {row_nos[i]}, column '{name}': non-finite cell")
+        cells, ids = cells[finite], ids[finite]
+    if not len(cells):
         raise ValueError(f"{path}: no usable rows after parsing")
-    return specs, rows, tails
+    return specs, cells, ids
 
 
 def _parse_cells(header: list[str], raw: list[str], width: int):
@@ -203,20 +220,19 @@ def load_csv(
     """Load a UTF-8, comma-separated file with a header row into a Table.
 
     Every header column must have a declared role and vice versa; column order
-    follows the file. Cells must parse as decimal reals. A row with a missing
-    or unparseable cell is dropped when drop_missing is set, otherwise it is an
-    error naming the row and column.
+    follows the file. Cells must parse as finite decimal reals. A row with a
+    missing, unparseable or non-finite cell is dropped when drop_missing is
+    set, otherwise it is an error naming the row and column.
     """
-    specs, rows, _ = _read_csv(path, roles, (), drop_missing)
-    return Table(specs, np.array(rows, dtype=np.float64))
+    specs, cells, _ = _read_csv(path, roles, (), drop_missing)
+    return Table(specs, cells)
 
 
 def load_anonymized_csv(path: Union[str, Path], roles: Sequence[AttributeSpec]) -> AnonymizedTable:
     """Load an anonymized release written by write_csv: the declared columns
     plus a trailing integer cluster_id column, read with load_csv's checks."""
-    specs, rows, ids = _read_csv(path, roles, ("cluster_id",), False)
-    table = Table(specs, np.array(rows, dtype=np.float64))
-    return AnonymizedTable(table, np.array(ids, dtype=np.int64))
+    specs, cells, ids = _read_csv(path, roles, ("cluster_id",), False)
+    return AnonymizedTable(Table(specs, cells), ids[:, 0])
 
 
 def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> None:
@@ -239,24 +255,25 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
             writer.writerow(row)
 
 
+# lognormal sigma of the synthetic QI marginals: the heavy right tail typical
+# of income-like magnitudes
+_SYNTH_SKEW = 1.5
+# every synthetic column is affine-mapped onto this range
+_SYNTH_RANGE = (0.0, 100000.0)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters for the seeded synthetic surrogate generator.
 
     target_correlation is the Pearson correlation between the confidential
     attribute and the standardized mean of the standardized QI columns.
-    ranges holds one (low, high) pair per QI followed by one for the
-    confidential attribute; defaults to (0, 100000) everywhere.
-    skew is the lognormal sigma of the QI marginals: the default 1.5 gives the
-    heavy right tail typical of income-like magnitudes, 0 gives Gaussian QIs.
     """
 
     n: int
     qi_count: int
     target_correlation: float
     seed: int
-    ranges: tuple[tuple[float, float], ...] | None = None
-    skew: float = 1.5
 
     def __post_init__(self):
         if self.n < 2:
@@ -265,20 +282,6 @@ class SynthConfig:
             raise ValueError("qi_count must be at least 1")
         if abs(self.target_correlation) > 1.0:
             raise ValueError("target correlation must lie in [-1, 1]")
-        if self.skew < 0:
-            raise ValueError("skew must be nonnegative")
-        if self.ranges is not None:
-            ranges = tuple((float(lo), float(hi)) for lo, hi in self.ranges)
-            if len(ranges) != self.qi_count + 1:
-                raise ValueError("need one range per QI plus one for the confidential attribute")
-            if any(lo >= hi for lo, hi in ranges):
-                raise ValueError("each range must satisfy low < high")
-            object.__setattr__(self, "ranges", ranges)
-
-    def resolved_ranges(self) -> tuple[tuple[float, float], ...]:
-        if self.ranges is not None:
-            return self.ranges
-        return tuple((0.0, 100000.0) for _ in range(self.qi_count + 1))
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -303,15 +306,13 @@ def _affine_to_range(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def synth_generate(cfg: SynthConfig) -> Table:
-    """Deterministic synthetic table: QI columns are (optionally lognormal)
-    latent draws and the confidential column is
+    """Deterministic synthetic table: QI columns are lognormal latent draws
+    and the confidential column is
     target_correlation * mix + sqrt(1 - rho^2) * noise, with the noise
     orthogonalized against the mix so the achieved correlation matches the
-    target exactly; every column is then affine-mapped to its range."""
+    target exactly; every column is then affine-mapped to _SYNTH_RANGE."""
     rng = np.random.default_rng(cfg.seed)
-    z = rng.standard_normal((cfg.n, cfg.qi_count))
-    if cfg.skew > 0:
-        z = np.exp(cfg.skew * z)
+    z = np.exp(_SYNTH_SKEW * rng.standard_normal((cfg.n, cfg.qi_count)))
     raw_noise = rng.standard_normal(cfg.n)
 
     mix = qi_mix(z)
@@ -322,9 +323,8 @@ def synth_generate(cfg: SynthConfig) -> Table:
     rho = cfg.target_correlation
     conf = rho * mix + math.sqrt(max(0.0, 1.0 - rho * rho)) * noise
 
-    ranges = cfg.resolved_ranges()
-    columns = [_affine_to_range(z[:, j], *ranges[j]) for j in range(cfg.qi_count)]
-    columns.append(_affine_to_range(conf, *ranges[-1]))
+    columns = [_affine_to_range(z[:, j], *_SYNTH_RANGE) for j in range(cfg.qi_count)]
+    columns.append(_affine_to_range(conf, *_SYNTH_RANGE))
 
     specs = tuple(
         AttributeSpec(f"qi{j + 1}", Role.QUASI_IDENTIFIER) for j in range(cfg.qi_count)

@@ -13,6 +13,10 @@ from .dataset import AnonymizedTable, NormalizationParams, Table
 from .emd import Distribution, TableEmd
 from .microagg import Partition
 
+# floating-point allowance of the t-closeness check: an EMD at most this far
+# above tau still passes
+TAU_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class RunReport:
@@ -100,16 +104,14 @@ def verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:
     return KAnonymityCheck(False, k, min_count, tuple(float(v) for v in qi[witness_row]))
 
 
-def verify_t_closeness(
-    table: Table, partition: Partition, tau: float, slack: float = 1e-9
-) -> TClosenessCheck:
+def verify_t_closeness(table: Table, partition: Partition, tau: float) -> TClosenessCheck:
     """Pass iff every cluster's EMD to the table marginal is at most
-    tau + slack; reports the worst cluster either way."""
+    tau + TAU_SLACK; reports the worst cluster either way."""
     ctx = TableEmd(table)
     emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
     worst = int(np.argmax(emds))
     max_emd = float(emds[worst])
-    return TClosenessCheck(max_emd <= tau + slack, tau, max_emd, worst)
+    return TClosenessCheck(max_emd <= tau + TAU_SLACK, tau, max_emd, worst)
 
 
 def transport_oracle_emd(p: Distribution, q: Distribution) -> float:

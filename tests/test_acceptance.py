@@ -157,7 +157,7 @@ def test_criterion_4_hard_guarantees(grid_results, mcd_table, hcd_table):
         tables = {"mcd": mcd_table, "hcd": hcd_table}
         for (algo, ds, k, t), (anon, part, _) in grid_results.items():
             k_check = verify_k_anonymity(anon, k)
-            t_check = verify_t_closeness(tables[ds], part, t, slack=1e-9)
+            t_check = verify_t_closeness(tables[ds], part, t)
             assert k_check.ok, (algo, ds, k, t, k_check)
             assert t_check.ok, (algo, ds, k, t, t_check.max_emd)
 

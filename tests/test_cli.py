@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tcmicro import mdav_partition, minmax_params
+from tcmicro import aggregate, cli, mdav_partition, minmax_params
 from tcmicro.cli import _partition_from_ids, main
 from tcmicro.dataset import load_csv
 from tcmicro.cli import read_roles
@@ -81,6 +81,28 @@ def test_anonymize_merge_vacuous_t_equals_mdav(tmp_path, synth_files):
     sizes = plain.sizes()
     assert report["k_min_actual"] == min(sizes)
     assert report["k_avg_actual"] == sum(sizes) / len(sizes)
+
+
+def test_anonymize_refuses_release_that_fails_verify(tmp_path, synth_files, capsys, monkeypatch):
+    # MDAV without the merge pass: k-anonymous, but some classes are not 0.1-close
+    def mdav_only(table, k, tau, seed=None):
+        partition = mdav_partition(table, minmax_params(table), k)
+        return aggregate(table, partition), partition, None
+
+    monkeypatch.setitem(cli.ALGORITHMS, "merge", mdav_only)
+    data, roles = synth_files
+    out = tmp_path / "anon.csv"
+    rc = main([
+        "anonymize", "--input", str(data), "--roles", str(roles),
+        "--algorithm", "merge", "--k", "2", "--t", "0.1", "--output", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "refusing to write output" in captured.err
+    assert "t-closeness (t=0.1): FAIL (cluster" in captured.err
+    assert "k-anonymity" not in captured.err and "confidential" not in captured.err
 
 
 def test_invalid_k_names_parameter(tmp_path, synth_files, capsys):
@@ -253,3 +275,30 @@ def test_bench_report_is_deterministic(tmp_path):
                     for row in csv.DictReader(fh)]
         reports.append(rows)
     assert reports[0] == reports[1]
+
+
+def test_bench_columns_are_the_run_report_fields(tmp_path):
+    data = tmp_path / "small.csv"
+    roles = tmp_path / "roles.cfg"
+    main(["synth", "--n", "60", "--rho", "0.4", "--seed", "3",
+          "--output", str(data), "--roles-out", str(roles)])
+    report_json = tmp_path / "run.json"
+    assert main(["anonymize", "--input", str(data), "--roles", str(roles),
+                 "--algorithm", "tfirst", "--k", "3", "--t", "0.2", "--seed", "4",
+                 "--output", str(tmp_path / "anon.csv"), "--report", str(report_json)]) == 0
+    bench = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(data), "--roles", str(roles),
+                 "--grid-k", "3,100", "--grid-t", "0.2", "--algorithms", "tfirst",
+                 "--seed", "4", "--report", str(bench)]) == 0
+    report = json.loads(report_json.read_text())
+    with open(bench, newline="") as fh:
+        reader = csv.DictReader(fh)
+        ok, failed = list(reader)
+    assert reader.fieldnames == list(report) + ["status", "error"]
+    assert ok["status"] == "ok" and ok["error"] == ""
+    for key in ("n", "k_min_actual", "sse_attr_count"):
+        assert int(ok[key]) == report[key]
+    assert float(ok["sse"]) == report["sse"]
+    assert failed["status"] == "error" and failed["error"]
+    assert failed["k_requested"] == "100" and failed["seed"] == "4"
+    assert failed["k_min_actual"] == failed["sse"] == failed["sse_attr_count"] == ""

@@ -19,6 +19,7 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
+from tcmicro.metrics import TAU_SLACK
 from util import make_1d_table, make_ranks_table
 
 
@@ -117,7 +118,7 @@ class TestVerifyTCloseness:
         part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
         assert verify_t_closeness(t, part, 0.3).ok
         assert not verify_t_closeness(t, part, 0.3 - 1e-6).ok
-        assert verify_t_closeness(t, part, 0.3 - 1e-6, slack=1e-5).ok
+        assert verify_t_closeness(t, part, 0.3 - TAU_SLACK / 2).ok
 
 
 class TestTransportOracle:
