@@ -16,12 +16,8 @@ from .dataset import (
     write_csv,
 )
 from .emd import (
-    Distribution,
     TableEmd,
     adjust_cluster_size,
-    distribution_of,
-    emd_ordered,
-    max_emd_bound,
     min_emd_bound,
     required_cluster_size,
 )
@@ -31,7 +27,6 @@ from .metrics import (
     RunReport,
     cluster_size_stats,
     normalized_sse,
-    transport_oracle_emd,
     verify_k_anonymity,
     verify_t_closeness,
 )
@@ -50,7 +45,6 @@ __all__ = [
     "AnonymizedTable",
     "AttributeSpec",
     "Cluster",
-    "Distribution",
     "Partition",
     "Role",
     "RunReport",
@@ -62,13 +56,10 @@ __all__ = [
     "aggregate",
     "build_cluster",
     "cluster_size_stats",
-    "distribution_of",
-    "emd_ordered",
     "generate_cluster",
     "kfirst_partition",
     "load_anonymized_csv",
     "load_csv",
-    "max_emd_bound",
     "mdav_partition",
     "merge_until_tclose",
     "min_emd_bound",
@@ -81,7 +72,6 @@ __all__ = [
     "run_tfirst_algorithm",
     "split_subsets",
     "synth_generate",
-    "transport_oracle_emd",
     "verify_k_anonymity",
     "verify_t_closeness",
     "write_csv",

@@ -182,8 +182,8 @@ def cmd_bench(args) -> int:
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"invalid --algorithms entry {name!r}")
-    if not grid_k or not grid_t:
-        raise ValueError("--grid-k and --grid-t must each list at least one value")
+    if not algorithms or not grid_k or not grid_t:
+        raise ValueError("--algorithms, --grid-k and --grid-t must each list at least one value")
 
     rows = []
     for name in algorithms:

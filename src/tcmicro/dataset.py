@@ -104,20 +104,18 @@ class NormalizationParams:
     """Per-QI min/max taken from the original table; frozen before anonymization
     so all distances and SSE terms share one scale."""
 
-    names: tuple[str, ...]
     mins: np.ndarray
     maxs: np.ndarray
 
     def __post_init__(self):
         mins = np.asarray(self.mins, dtype=np.float64)
         maxs = np.asarray(self.maxs, dtype=np.float64)
-        if mins.shape != maxs.shape or mins.shape != (len(self.names),):
-            raise ValueError("mins/maxs must align with the QI attribute names")
+        if mins.ndim != 1 or mins.shape != maxs.shape:
+            raise ValueError("mins/maxs must be 1-D arrays of equal length, one entry per QI")
         if np.any(mins > maxs):
             raise ValueError("per-attribute min must not exceed max")
         mins.setflags(write=False)
         maxs.setflags(write=False)
-        object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
@@ -129,8 +127,7 @@ class NormalizationParams:
 def minmax_params(table: Table) -> NormalizationParams:
     """Min-max normalization parameters over the table's QI columns."""
     qi = table.qi_matrix()
-    names = tuple(table.specs[i].name for i in table.qi_indices)
-    return NormalizationParams(names, qi.min(axis=0), qi.max(axis=0))
+    return NormalizationParams(qi.min(axis=0), qi.max(axis=0))
 
 
 def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], drop_missing: bool):
@@ -280,7 +277,7 @@ class SynthConfig:
             raise ValueError("n must be at least 2")
         if self.qi_count < 1:
             raise ValueError("qi_count must be at least 1")
-        if abs(self.target_correlation) > 1.0:
+        if not abs(self.target_correlation) <= 1.0:
             raise ValueError("target correlation must lie in [-1, 1]")
 
 

@@ -13,7 +13,7 @@ from .emd import TableEmd, check_params
 from .merge import release
 from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
 from .metrics import RunReport
-from .microagg import Partition, normalized_qi, seeded_partition
+from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
 
 
 class _SwapEmd:
@@ -95,7 +95,7 @@ def generate_cluster(
     if candidates.size < 2 * k:
         return np.sort(candidates)
     others = candidates[candidates != seed]
-    d = ((x[others] - x[seed]) ** 2).sum(axis=1)
+    d = sq_distances(x[others].T, x[seed])
     order = np.argsort(d, kind="stable")
     ordered = others[order]
     state = _SwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))

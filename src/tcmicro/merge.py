@@ -11,7 +11,9 @@ import numpy as np
 from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
 from .emd import TableEmd, check_params
 from .metrics import RunReport, make_report
-from .microagg import Partition, aggregate, mdav_partition, normalized_qi, partition_from_arrays
+from .microagg import (
+    Partition, aggregate, mdav_partition, normalized_qi, partition_from_arrays, sq_distances,
+)
 
 
 def merge_until_tclose(
@@ -45,7 +47,7 @@ def merge_until_tclose(
 
     while max(emds) > tau and len(groups) > 1:
         worst = int(np.argmax(emds))
-        dists = ((np.array(centroids) - centroids[worst]) ** 2).sum(axis=1)
+        dists = sq_distances(np.array(centroids).T, centroids[worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))

@@ -1,6 +1,6 @@
 """Independent verifiers and information-loss metrics: normalized SSE,
-k-anonymity and t-closeness checks, cluster-size statistics, and a standalone
-transport oracle for cross-checking the cumulative EMD formula."""
+k-anonymity and t-closeness checks, cluster-size statistics and the run
+report."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table
-from .emd import Distribution, TableEmd
+from .emd import TableEmd
 from .microagg import Partition
 
 # floating-point allowance of the t-closeness check: an EMD at most this far
@@ -52,9 +52,6 @@ class KAnonymityCheck:
     min_count: int
     witness: Optional[tuple[float, ...]]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class TClosenessCheck:
@@ -62,9 +59,6 @@ class TClosenessCheck:
     tau: float
     max_emd: float
     worst_cluster: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def normalized_sse(
@@ -112,37 +106,6 @@ def verify_t_closeness(table: Table, partition: Partition, tau: float) -> TClose
     worst = int(np.argmax(emds))
     max_emd = float(emds[worst])
     return TClosenessCheck(max_emd <= tau + TAU_SLACK, tau, max_emd, worst)
-
-
-def transport_oracle_emd(p: Distribution, q: Distribution) -> float:
-    """EMD computed by explicitly moving probability mass between bins.
-
-    Supply bins of p and demand bins of q are matched left to right, paying
-    |i - j| / (m - 1) per unit moved. For an ordered 1-D support this greedy
-    plan is an optimal transport plan. Coded independently of emd_ordered's
-    cumulative-sum formula so the two act as cross-checks.
-    """
-    if p.support.shape != q.support.shape or np.any(p.support != q.support):
-        raise ValueError("distributions must share an identical support")
-    m = p.m
-    if m == 1:
-        return 0.0
-    a = p.mass.copy()
-    b = q.mass.copy()
-    cost = 0.0
-    i = j = 0
-    while i < m and j < m:
-        if a[i] <= 0.0:
-            i += 1
-            continue
-        if b[j] <= 0.0:
-            j += 1
-            continue
-        moved = min(a[i], b[j])
-        cost += moved * abs(i - j) / (m - 1)
-        a[i] -= moved
-        b[j] -= moved
-    return cost
 
 
 def cluster_size_stats(partition: Partition) -> tuple[int, float]:

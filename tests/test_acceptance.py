@@ -12,20 +12,17 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Distribution,
     SynthConfig,
     TableEmd,
-    emd_ordered,
-    max_emd_bound,
     min_emd_bound,
     run_kfirst_algorithm,
     run_merge_algorithm,
     run_tfirst_algorithm,
     synth_generate,
-    transport_oracle_emd,
     verify_k_anonymity,
     verify_t_closeness,
 )
+from oracles import Distribution, emd_ordered, max_emd_bound, transport_oracle_emd
 from util import make_ranks_table, subset_emd_matrix
 
 PIPELINES = {

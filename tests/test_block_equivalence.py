@@ -131,7 +131,10 @@ class TestSqDistances:
         x = data(kind, 3000, q, q)
         for point in (x[7], x.mean(axis=0)):
             want = ((x - point) ** 2).sum(axis=1)
-            assert same_bits(sq_distances(np.ascontiguousarray(x.T), point), want)
+            # a contiguous attribute-major copy, and the strided view the
+            # kfirst candidate order and the merge pass's centroid search pass
+            for cols in (np.ascontiguousarray(x.T), x.T):
+                assert same_bits(sq_distances(cols, point), want)
 
     @pytest.mark.parametrize("q", [1, 4, 8, 9, 17])
     def test_block_shape_and_infinite_slots(self, q):

@@ -259,6 +259,21 @@ def test_bench_grid_records_failures_per_cell(tmp_path, capsys):
     assert all(float(r["runtime_ms"]) >= 0 for r in ok)
 
 
+@pytest.mark.parametrize("algorithms", ["", " , "])
+def test_bench_empty_algorithm_list_is_usage_error(tmp_path, capsys, algorithms):
+    data = tmp_path / "small.csv"
+    roles = tmp_path / "roles.cfg"
+    assert main(["synth", "--n", "30", "--rho", "0.3", "--seed", "5",
+                 "--output", str(data), "--roles-out", str(roles)]) == 0
+    report = tmp_path / "bench.csv"
+    rc = main(["bench", "--input", str(data), "--roles", str(roles),
+               "--grid-k", "2", "--grid-t", "0.2", "--algorithms", algorithms,
+               "--report", str(report)])
+    assert rc == 1
+    assert "--algorithms" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_bench_report_is_deterministic(tmp_path):
     data = tmp_path / "small.csv"
     roles = tmp_path / "roles.cfg"

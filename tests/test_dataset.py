@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,9 @@ class TestSynth:
         assert np.array_equal(a.rows, b.rows)
 
     def test_rho_out_of_range(self):
-        with pytest.raises(ValueError, match="correlation"):
-            SynthConfig(n=10, qi_count=1, target_correlation=1.5, seed=0)
+        for rho in (1.5, math.nan):
+            with pytest.raises(ValueError, match=r"correlation must lie in \[-1, 1\]"):
+                SynthConfig(n=10, qi_count=1, target_correlation=rho, seed=0)
 
     def test_high_correlation_with_skew(self):
         t = synth_generate(SynthConfig(n=1080, qi_count=2, target_correlation=0.92, seed=1))

@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Distribution,
     TableEmd,
     adjust_cluster_size,
-    distribution_of,
-    emd_ordered,
-    max_emd_bound,
     min_emd_bound,
     required_cluster_size,
-    transport_oracle_emd,
 )
+from oracles import Distribution, distribution_of, emd_ordered, max_emd_bound, transport_oracle_emd
 from util import make_ranks_table
 
 

@@ -6,7 +6,6 @@ from tcmicro import (
     TableEmd,
     generate_cluster,
     kfirst_partition,
-    max_emd_bound,
     mdav_partition,
     minmax_params,
     normalized_qi,
@@ -16,6 +15,7 @@ from tcmicro import (
     verify_t_closeness,
 )
 from tcmicro.kfirst import _SwapEmd
+from oracles import max_emd_bound
 from util import make_1d_table, make_ranks_table
 
 

@@ -5,21 +5,19 @@ from scipy.optimize import linprog
 from tcmicro import (
     AnonymizedTable,
     Cluster,
-    Distribution,
     Partition,
     SynthConfig,
     aggregate,
     cluster_size_stats,
-    emd_ordered,
     mdav_partition,
     minmax_params,
     normalized_sse,
     synth_generate,
-    transport_oracle_emd,
     verify_k_anonymity,
     verify_t_closeness,
 )
 from tcmicro.metrics import TAU_SLACK
+from oracles import Distribution, emd_ordered, transport_oracle_emd
 from util import make_1d_table, make_ranks_table
 
 

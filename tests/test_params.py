@@ -12,7 +12,6 @@ from tcmicro import (
     TableEmd,
     adjust_cluster_size,
     kfirst_partition,
-    max_emd_bound,
     mdav_partition,
     merge_until_tclose,
     min_emd_bound,
@@ -24,6 +23,7 @@ from tcmicro import (
     split_subsets,
     synth_generate,
 )
+from oracles import max_emd_bound
 
 TABLE = synth_generate(SynthConfig(n=30, qi_count=2, target_correlation=0.52, seed=4))
 RUNS = {

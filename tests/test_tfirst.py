@@ -7,7 +7,6 @@ from tcmicro import (
     SynthConfig,
     TableEmd,
     build_cluster,
-    max_emd_bound,
     minmax_params,
     normalized_qi,
     split_subsets,
@@ -16,6 +15,7 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
+from oracles import max_emd_bound
 from util import make_ranks_table
 
 
