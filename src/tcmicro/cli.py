@@ -173,17 +173,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(passed for passed, _ in results) else EXIT_VERIFY
 
 
+def _grid(text: str, flag: str, parse) -> list:
+    """The nonblank comma-separated entries of a bench grid option, each
+    parsed by parse; an entry it rejects is an error naming the flag."""
+    values = []
+    for entry in (v.strip() for v in text.split(",")):
+        if entry:
+            try:
+                values.append(parse(entry))
+            except ValueError:
+                raise ValueError(f"invalid {flag} entry {entry!r}") from None
+    return values
+
+
 def cmd_bench(args) -> int:
-    roles = read_roles(args.roles)
-    table = load_csv(args.input, roles, drop_missing=args.drop_missing)
-    grid_k = [int(v) for v in args.grid_k.split(",") if v.strip()]
-    grid_t = [float(v) for v in args.grid_t.split(",") if v.strip()]
+    grid_k = _grid(args.grid_k, "--grid-k", int)
+    grid_t = _grid(args.grid_t, "--grid-t", float)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     for name in algorithms:
         if name not in ALGORITHMS:
             raise ValueError(f"invalid --algorithms entry {name!r}")
     if not algorithms or not grid_k or not grid_t:
         raise ValueError("--algorithms, --grid-k and --grid-t must each list at least one value")
+    roles = read_roles(args.roles)
+    table = load_csv(args.input, roles, drop_missing=args.drop_missing)
 
     rows = []
     for name in algorithms:

@@ -17,66 +17,77 @@ from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
 
 
 class _SwapEmd:
-    """Incremental cluster-vs-table EMD under single-record swaps.
+    """Cluster-vs-table EMD of a cluster under single-record swaps.
 
-    Keeps the cumulative mass-difference vector of the current cluster plus
-    prefix sums of |cum|, |cum + 1/c| and |cum - 1/c|, so that the EMD after
-    replacing one member by one candidate is a constant-time interval query:
-    swapping rank a for rank b shifts the cumulative vector by -1/c on [a, b)
-    (a < b) or +1/c on [b, a) (a > b).
+    Keeps the cumulative mass-difference vector cum of the current cluster
+    and, in the three rows of prefix, the prefix sums of |cum|, |cum + 1/c|
+    and |cum - 1/c|, each starting at 0. Replacing a member of rank a by a
+    candidate of rank b shifts cum by -1/c on [a, b) (a < b) or +1/c on
+    [b, a) (a > b), so the summed EMD after the swap is an interval query on
+    prefix, for a whole block of candidates x members at once.
     """
 
     def __init__(self, ctx: TableEmd, members: np.ndarray):
         self.ctx = ctx
-        self.members = list(int(i) for i in members)
-        self.member_ranks = [int(ctx.ranks[i]) for i in members]
-        self.size = len(self.members)
-        self.counts = np.bincount(self.member_ranks, minlength=ctx.m).astype(np.float64)
-        self._rebuild()
+        self.members = np.array(members, dtype=np.int64)
+        self.ranks = ctx.ranks[self.members]
+        self.size = self.members.size
+        self.counts = np.bincount(self.ranks, minlength=ctx.m).astype(np.float64)
+        self._cum = np.empty(ctx.m)
+        self.prefix = np.zeros((3, ctx.m + 1))
+        self._rebuild(0)
 
-    def _rebuild(self):
-        ctx = self.ctx
-        if ctx.m == 1:
-            self.emd = 0.0
-            return
-        cum = np.cumsum(self.counts / self.size - ctx.table_mass)
+    def _rebuild(self, lo: int):
+        """Recompute cum and prefix from rank lo on. Both are sequential left
+        folds seeded with the kept entry before lo, so the result is bit for
+        bit that of a rebuild from rank 0."""
+        cum, prefix = self._cum, self.prefix
+        tail = self.counts[lo:] / self.size - self.ctx.table_mass[lo:]
+        if lo:
+            tail[0] += cum[lo - 1]
+        np.cumsum(tail, out=tail)
+        cum[lo:] = tail
         shift = 1.0 / self.size
-        zero = np.zeros(1)
-        self._abs = np.concatenate([zero, np.cumsum(np.abs(cum))])
-        self._plus = np.concatenate([zero, np.cumsum(np.abs(cum + shift))])
-        self._minus = np.concatenate([zero, np.cumsum(np.abs(cum - shift))])
-        self._total = self._abs[-1]
-        self.emd = float(self._total / (ctx.m - 1))
+        np.abs(tail, out=prefix[0, lo + 1 :])
+        np.abs(tail + shift, out=prefix[1, lo + 1 :])
+        np.abs(tail - shift, out=prefix[2, lo + 1 :])
+        np.cumsum(prefix[:, lo:], axis=1, out=prefix[:, lo:])
+        self.total = prefix[0, -1]
+        self.emd = 0.0 if self.ctx.m == 1 else float(self.total / (self.ctx.m - 1))
 
-    def _swap_sum(self, a: int, b: int) -> float:
-        if a == b:
-            return self._total
-        if a < b:
-            return self._total - (self._abs[b] - self._abs[a]) + (self._minus[b] - self._minus[a])
-        return self._total - (self._abs[a] - self._abs[b]) + (self._plus[a] - self._plus[b])
-
-    def best_swap(self, candidate_rank: int) -> int:
-        """Member position whose replacement by the candidate minimizes the
-        EMD, or -1 when no strict improvement exists. Ties keep the earliest
-        member, so equal-EMD swaps are never taken."""
-        if self.ctx.m == 1:
-            return -1
-        best_pos = -1
-        best_sum = self._total
-        for pos, a in enumerate(self.member_ranks):
-            s = self._swap_sum(a, candidate_rank)
-            if s < best_sum:
-                best_sum = s
-                best_pos = pos
-        return best_pos
+    def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int]:
+        """(j, pos) for the first candidate j whose best swap strictly lowers
+        the EMD, pos being the earliest member position attaining that best;
+        (-1, -1) when no candidate improves. A candidate sharing a member's
+        rank scores exactly the current sum, so equal-EMD swaps are never
+        taken."""
+        a = self.ranks
+        b = candidate_ranks[:, None]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        col = np.where(a < b, 2, 1)
+        prefix, total = self.prefix, self.total
+        sums = total - (prefix[0, hi] - prefix[0, lo]) + (prefix[col, hi] - prefix[col, lo])
+        hits = np.flatnonzero(sums.min(axis=1) < total)
+        if not hits.size:
+            return -1, -1
+        j = int(hits[0])
+        return j, int(np.argmin(sums[j]))
 
     def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
-        old_rank = self.member_ranks[pos]
+        old_rank = int(self.ranks[pos])
         self.counts[old_rank] -= 1.0
         self.counts[candidate_rank] += 1.0
         self.members[pos] = candidate
-        self.member_ranks[pos] = candidate_rank
-        self._rebuild()
+        self.ranks[pos] = candidate_rank
+        self._rebuild(min(old_rank, candidate_rank))
+
+
+# candidates scored per block: _FIRST_BLOCK after each accepted swap, doubled
+# after every block without one, so a long run of misses costs few numpy calls;
+# capped at _MAX_BLOCK_CELLS candidate x member scores so that a block's
+# temporaries stay small whatever the pool size and k
+_FIRST_BLOCK = 16
+_MAX_BLOCK_CELLS = 1 << 16
 
 
 def generate_cluster(
@@ -99,14 +110,21 @@ def generate_cluster(
     order = np.argsort(d, kind="stable")
     ordered = others[order]
     state = _SwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))
-    for y in ordered[k - 1 :]:
-        if state.emd <= tau:
-            break
-        y_rank = int(ctx.ranks[y])
-        pos = state.best_swap(y_rank)
-        if pos >= 0:
-            state.apply_swap(pos, int(y), y_rank)
-    return np.sort(np.array(state.members, dtype=np.int64))
+    rest = ordered[k - 1 :]
+    rest_ranks = ctx.ranks[rest]
+    # a block of candidates is scored against the unchanged state; after the
+    # first improving candidate the state changes and scoring resumes past it
+    at, block = 0, _FIRST_BLOCK
+    while at < rest.size and state.emd > tau:
+        j, pos = state.first_swap(rest_ranks[at : at + block])
+        if j < 0:
+            at += block
+            block = min(2 * block, max(_FIRST_BLOCK, _MAX_BLOCK_CELLS // k))
+            continue
+        state.apply_swap(pos, int(rest[at + j]), int(rest_ranks[at + j]))
+        at += j + 1
+        block = _FIRST_BLOCK
+    return np.sort(state.members)
 
 
 def kfirst_partition(

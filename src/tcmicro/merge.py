@@ -37,26 +37,32 @@ def merge_until_tclose(
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
 
-    emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
-    if max(emds) <= tau:
+    emds = np.array([ctx.cluster_emd(c.members) for c in partition.clusters])
+    if emds.max() <= tau:
         return partition
 
+    # One slot per input cluster, in input order. A slot merged away is dead:
+    # its EMD is -inf and its centroid +inf, hence its distance too, so argmax
+    # and argmin still pick the lowest live slot among ties, as if the dead
+    # slots had been deleted.
     x = normalized_qi(table, params)
     groups = [c.members for c in partition.clusters]
-    centroids = [x[g].mean(axis=0) for g in groups]
+    centroids = np.array([x[g].mean(axis=0) for g in groups])
+    live = len(groups)
 
-    while max(emds) > tau and len(groups) > 1:
+    while emds.max() > tau and live > 1:
         worst = int(np.argmax(emds))
-        dists = sq_distances(np.array(centroids).T, centroids[worst])
+        dists = sq_distances(centroids.T, centroids[worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))
         merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
-        groups[lo] = merged
-        centroids[lo] = x[merged].mean(axis=0)
-        emds[lo] = ctx.cluster_emd(merged)
-        del groups[hi], centroids[hi], emds[hi]
+        groups[lo], groups[hi] = merged, None
+        centroids[lo], centroids[hi] = x[merged].mean(axis=0), np.inf
+        emds[lo], emds[hi] = ctx.cluster_emd(merged), -np.inf
+        live -= 1
 
+    groups = [g for g in groups if g is not None]
     return partition_from_arrays(groups, table.n)
 
 

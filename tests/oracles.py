@@ -1,7 +1,8 @@
-"""Reference EMD code the tests compare the package against: explicit
+"""Reference code the tests compare the package against: explicit
 distributions over an ordered support, the cumulative-mass EMD formula, a
-mass-moving transport oracle and the closed-form upper bound for clusters
-built one record per subset."""
+mass-moving transport oracle, the closed-form upper bound for clusters built
+one record per subset, and the one-candidate-at-a-time kfirst swap loop and
+list-based merge loop that the package's array versions replaced."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from tcmicro.emd import check_params
+from tcmicro.emd import TableEmd, check_params
+from tcmicro.microagg import normalized_qi, partition_from_arrays, sq_distances
 
 MASS_TOLERANCE = 1e-12
 
@@ -110,3 +112,119 @@ def max_emd_bound(n: int, k: int) -> float:
     ascending equal subsets: (n - k) / (2 (n - 1) k)."""
     check_params(n, k)
     return (n - k) / (2.0 * (n - 1) * k)
+
+
+class ScanSwapEmd:
+    """Incremental cluster-vs-table EMD under single-record swaps.
+
+    Keeps the cumulative mass-difference vector of the current cluster plus
+    prefix sums of |cum|, |cum + 1/c| and |cum - 1/c|, so that the EMD after
+    replacing one member by one candidate is a constant-time interval query:
+    swapping rank a for rank b shifts the cumulative vector by -1/c on [a, b)
+    (a < b) or +1/c on [b, a) (a > b).
+    """
+
+    def __init__(self, ctx: TableEmd, members: np.ndarray):
+        self.ctx = ctx
+        self.members = list(int(i) for i in members)
+        self.member_ranks = [int(ctx.ranks[i]) for i in members]
+        self.size = len(self.members)
+        self.counts = np.bincount(self.member_ranks, minlength=ctx.m).astype(np.float64)
+        self._rebuild()
+
+    def _rebuild(self):
+        ctx = self.ctx
+        if ctx.m == 1:
+            self.emd = 0.0
+            return
+        cum = np.cumsum(self.counts / self.size - ctx.table_mass)
+        shift = 1.0 / self.size
+        zero = np.zeros(1)
+        self._abs = np.concatenate([zero, np.cumsum(np.abs(cum))])
+        self._plus = np.concatenate([zero, np.cumsum(np.abs(cum + shift))])
+        self._minus = np.concatenate([zero, np.cumsum(np.abs(cum - shift))])
+        self._total = self._abs[-1]
+        self.emd = float(self._total / (ctx.m - 1))
+
+    def _swap_sum(self, a: int, b: int) -> float:
+        if a == b:
+            return self._total
+        if a < b:
+            return self._total - (self._abs[b] - self._abs[a]) + (self._minus[b] - self._minus[a])
+        return self._total - (self._abs[a] - self._abs[b]) + (self._plus[a] - self._plus[b])
+
+    def best_swap(self, candidate_rank: int) -> int:
+        """Member position whose replacement by the candidate minimizes the
+        EMD, or -1 when no strict improvement exists. Ties keep the earliest
+        member, so equal-EMD swaps are never taken."""
+        if self.ctx.m == 1:
+            return -1
+        best_pos = -1
+        best_sum = self._total
+        for pos, a in enumerate(self.member_ranks):
+            s = self._swap_sum(a, candidate_rank)
+            if s < best_sum:
+                best_sum = s
+                best_pos = pos
+        return best_pos
+
+    def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
+        old_rank = self.member_ranks[pos]
+        self.counts[old_rank] -= 1.0
+        self.counts[candidate_rank] += 1.0
+        self.members[pos] = candidate
+        self.member_ranks[pos] = candidate_rank
+        self._rebuild()
+
+
+def scan_generate_cluster(
+    seed: int, candidates: np.ndarray, x: np.ndarray, ctx: TableEmd, k: int, tau: float
+) -> np.ndarray:
+    """kfirst's cluster build scoring one candidate at a time against the
+    members in a Python loop."""
+    if candidates.size < 2 * k:
+        return np.sort(candidates)
+    others = candidates[candidates != seed]
+    d = sq_distances(x[others].T, x[seed])
+    order = np.argsort(d, kind="stable")
+    ordered = others[order]
+    state = ScanSwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))
+    for y in ordered[k - 1 :]:
+        if state.emd <= tau:
+            break
+        y_rank = int(ctx.ranks[y])
+        pos = state.best_swap(y_rank)
+        if pos >= 0:
+            state.apply_swap(pos, int(y), y_rank)
+    return np.sort(np.array(state.members, dtype=np.int64))
+
+
+def list_merge_until_tclose(table, partition, tau, params, ctx):
+    """The merge pass over Python lists, deleting each merged-away cluster
+    and rebuilding the centroid matrix for every merge."""
+    if not tau >= 0:
+        raise ValueError("tau must be nonnegative")
+    if partition.n != table.n:
+        raise ValueError("partition does not match the table size")
+
+    emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
+    if max(emds) <= tau:
+        return partition
+
+    x = normalized_qi(table, params)
+    groups = [c.members for c in partition.clusters]
+    centroids = [x[g].mean(axis=0) for g in groups]
+
+    while max(emds) > tau and len(groups) > 1:
+        worst = int(np.argmax(emds))
+        dists = sq_distances(np.array(centroids).T, centroids[worst])
+        dists[worst] = np.inf
+        other = int(np.argmin(dists))
+        lo, hi = sorted((worst, other))
+        merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
+        groups[lo] = merged
+        centroids[lo] = x[merged].mean(axis=0)
+        emds[lo] = ctx.cluster_emd(merged)
+        del groups[hi], centroids[hi], emds[hi]
+
+    return partition_from_arrays(groups, table.n)

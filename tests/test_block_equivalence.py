@@ -1,5 +1,6 @@
-"""The vectorised seeding, MDAV and tfirst builds against the scan-per-pick
-loops they replaced, kept here as reference oracles.
+"""The vectorised seeding, MDAV and tfirst builds, the block-scored kfirst
+swap search and the slot-array merge pass against the loops they replaced,
+kept here (or in oracles.py) as reference oracles.
 
 The squared-distance helper and the compacted anchor must match numpy's
 row-major reductions bit for bit, and the partitions must be identical,
@@ -8,7 +9,7 @@ cluster order included.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcmicro import (
@@ -16,15 +17,19 @@ from tcmicro import (
     Role,
     SynthConfig,
     Table,
+    TableEmd,
     adjust_cluster_size,
     build_cluster,
+    generate_cluster,
     mdav_partition,
+    merge_until_tclose,
     minmax_params,
     normalized_qi,
     split_subsets,
     synth_generate,
 )
-from tcmicro.microagg import _record_mean, seeded_partition, sq_distances
+from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
+from oracles import list_merge_until_tclose, scan_generate_cluster
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -202,3 +207,82 @@ def test_tfirst_block_matches_oracle_with_compaction(n, q, k):
     assert adjust_cluster_size(n, k) == k
     x = normalized_qi(table, minmax_params(table))
     assert_same_groups(tfirst_groups(table, k, x), oracle_tfirst(table, k, x))
+
+
+TAUS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
+
+
+def kfirst_groups(table: Table, k: int, tau: float, generate) -> list[np.ndarray]:
+    x = normalized_qi(table, minmax_params(table))
+    ctx = TableEmd(table)
+    part = seeded_partition(x, lambda seed, pool: generate(seed, pool, x, ctx, k, tau))
+    return [c.members for c in part.clusters]
+
+
+def merged_groups(table: Table, part, tau: float, merge) -> list[np.ndarray]:
+    return [c.members for c in merge(table, part, tau, minmax_params(table), TableEmd(table)).clusters]
+
+
+def assert_same_kfirst_and_merge(table: Table, k: int, tau: float):
+    got = kfirst_groups(table, k, tau, generate_cluster)
+    assert_same_groups(got, kfirst_groups(table, k, tau, scan_generate_cluster))
+    for part in (mdav_partition(table, minmax_params(table), k), partition_from_arrays(got, table.n)):
+        assert_same_groups(
+            merged_groups(table, part, tau, merge_until_tclose),
+            merged_groups(table, part, tau, list_merge_until_tclose),
+        )
+
+
+@SETTINGS
+@given(tables(), st.sampled_from(TAUS))
+def test_kfirst_block_search_and_merge_slots_match_loops(case, tau):
+    # tied and constant confidential columns (m == 1), duplicate QI rows and
+    # so coincident centroids, n == 2k pools, and tau = 0, which merges down
+    # to one cluster
+    table, k = case
+    assert_same_kfirst_and_merge(table, k, tau)
+
+
+@SETTINGS
+@given(tables(), st.floats(0.0, 0.6), st.data())
+def test_generate_cluster_on_a_pool_of_exactly_2k(case, tau, data):
+    table, k = case
+    n = table.n
+    assume(n >= 2 * k)
+    pool = np.sort(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).choice(
+        n, size=2 * k, replace=False))
+    seed = int(pool[data.draw(st.integers(0, 2 * k - 1))])
+    x = normalized_qi(table, minmax_params(table))
+    ctx = TableEmd(table)
+    got = generate_cluster(seed, pool, x, ctx, k, tau)
+    assert got.tolist() == scan_generate_cluster(seed, pool, x, ctx, k, tau).tolist()
+
+
+@pytest.mark.parametrize(
+    "n, q, k, tau, conf",
+    [
+        (600, 2, 2, 0.1, None),  # blocks double over the whole pool
+        (500, 3, 3, 0.05, lambda n: np.arange(n) % 7),  # seven tied values
+        (300, 2, 4, 0.02, np.zeros),  # constant confidential column
+        # one record of value 0 among 1023 of value 1: every EMD is exact, no
+        # cluster without the 0 can improve on 1/1024, so every block misses
+        # and blocks grow to their cap of _MAX_BLOCK_CELLS // k = 327
+        (1024, 2, 200, 1e-4, lambda n: (np.arange(n) > 0).astype(float)),
+    ],
+)
+def test_kfirst_and_merge_match_loops_on_synthetic_tables(n, q, k, tau, conf):
+    table = synth_generate(SynthConfig(n=n, qi_count=q, target_correlation=0.52, seed=n + k))
+    if conf is not None:
+        rows = table.rows.copy()
+        rows[:, table.confidential_index] = np.random.default_rng(n).permutation(conf(n))
+        table = Table(table.specs, rows)
+    assert_same_kfirst_and_merge(table, k, tau)
+
+
+def test_merge_slots_match_loop_with_coincident_centroids():
+    # every QI row equal: all centroids coincide, so each nearest neighbour
+    # is the lowest live slot other than the worst one
+    rng = np.random.default_rng(3)
+    table = make_table(np.zeros((40, 2)), rng.integers(0, 10, 40).astype(float))
+    for tau in (0.0, 0.05, 0.2):
+        assert_same_kfirst_and_merge(table, 2, tau)

@@ -274,6 +274,23 @@ def test_bench_empty_algorithm_list_is_usage_error(tmp_path, capsys, algorithms)
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flag, grid", [("--grid-k", "2,x"), ("--grid-t", "0.1,y")])
+def test_bench_malformed_grid_entry_names_the_flag(tmp_path, capsys, flag, grid):
+    data = tmp_path / "small.csv"
+    roles = tmp_path / "roles.cfg"
+    assert main(["synth", "--n", "30", "--rho", "0.3", "--seed", "5",
+                 "--output", str(data), "--roles-out", str(roles)]) == 0
+    report = tmp_path / "bench.csv"
+    argv = {"--grid-k": "2", "--grid-t": "0.2", flag: grid}
+    rc = main(["bench", "--input", str(data), "--roles", str(roles),
+               "--grid-k", argv["--grid-k"], "--grid-t", argv["--grid-t"],
+               "--report", str(report)])
+    assert rc == 1
+    bad = grid.split(",")[1]
+    assert f"invalid {flag} entry '{bad}'" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_bench_report_is_deterministic(tmp_path):
     data = tmp_path / "small.csv"
     roles = tmp_path / "roles.cfg"

@@ -80,12 +80,31 @@ class TestGenerateCluster:
         members = rng.choice(40, size=6, replace=False)
         state = _SwapEmd(ctx, members)
         outside = [i for i in range(40) if i not in members]
+        swaps = 0
         for candidate in outside:
-            pos = state.best_swap(int(ctx.ranks[candidate]))
-            if pos >= 0:
-                state.apply_swap(pos, candidate, int(ctx.ranks[candidate]))
-            fresh = ctx.cluster_emd(np.array(state.members))
+            rank = int(ctx.ranks[candidate])
+            j, pos = state.first_swap(np.array([rank]))
+            if j >= 0:
+                state.apply_swap(pos, candidate, rank)
+                swaps += 1
+            fresh = ctx.cluster_emd(state.members)
             assert state.emd == pytest.approx(fresh, abs=1e-12)
+        assert swaps > 0
+
+    def test_tail_rebuild_matches_full_rebuild_bit_for_bit(self):
+        rng = np.random.default_rng(56)
+        n = 300
+        t = make_1d_table(rng.uniform(0, 1, n), rng.integers(0, 120, n))
+        ctx = TableEmd(t)
+        state = _SwapEmd(ctx, rng.choice(n, size=5, replace=False))
+        for candidate in rng.permutation(n):
+            if candidate in state.members:
+                continue
+            pos = int(rng.integers(0, state.size))
+            state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
+            full = _SwapEmd(ctx, state.members)
+            assert state.prefix.tobytes() == full.prefix.tobytes()
+            assert state.emd == full.emd
 
     def test_matches_naive_reference(self):
         # direct transcription of the swap rules, recomputing every EMD
