@@ -173,12 +173,12 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
                     if drop_missing:
                         continue
                     raise ValueError(f"row {row_no}, {exc}") from None
-            rows.append(values)
+            rows += values
             tails += tail
             row_nos.append(row_no)
-    cells = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    cells = np.array(rows, dtype=np.float64).reshape(len(row_nos), width)
     try:
-        ids = np.array(tails, dtype=np.int64).reshape(len(rows), len(trailing))
+        ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
     except OverflowError:
         i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
         name = trailing[i % len(trailing)]

@@ -37,7 +37,13 @@ def merge_until_tclose(
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
 
-    emds = np.array([ctx.cluster_emd(c.members) for c in partition.clusters])
+    groups = [c.members for c in partition.clusters]
+    # every cluster_emd is at most fast + bound, so whenever this returns,
+    # the exact check below would have returned too
+    fast, bound = ctx.partition_emds(groups)
+    if (fast + bound).max() <= tau:
+        return partition
+    emds = np.array([ctx.cluster_emd(g) for g in groups])
     if emds.max() <= tau:
         return partition
 
@@ -46,7 +52,6 @@ def merge_until_tclose(
     # and argmin still pick the lowest live slot among ties, as if the dead
     # slots had been deleted.
     x = normalized_qi(table, params)
-    groups = [c.members for c in partition.clusters]
     centroids = np.array([x[g].mean(axis=0) for g in groups])
     live = len(groups)
 

@@ -89,22 +89,23 @@ def verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:
     """Pass iff every distinct QI combination occurs in at least k rows; on
     failure the witness is one violating combination."""
     qi = anonymized.table.qi_matrix()
-    _, inverse, counts = np.unique(qi, axis=0, return_inverse=True, return_counts=True)
+    # one stable sort puts the classes in lexicographic order, each class's
+    # rows by index; == on floats groups -0.0 with 0.0
+    order = np.lexsort(qi.T[::-1])
+    sorted_qi = qi[order]
+    starts = np.flatnonzero(np.r_[True, (sorted_qi[1:] != sorted_qi[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, qi.shape[0]])
     min_count = int(counts.min())
     if min_count >= k:
         return KAnonymityCheck(True, k, min_count, None)
-    bad_group = int(np.argmin(counts))
-    witness_row = int(np.flatnonzero(inverse == bad_group)[0])
+    witness_row = int(order[starts[np.argmin(counts)]])
     return KAnonymityCheck(False, k, min_count, tuple(float(v) for v in qi[witness_row]))
 
 
 def verify_t_closeness(table: Table, partition: Partition, tau: float) -> TClosenessCheck:
     """Pass iff every cluster's EMD to the table marginal is at most
     tau + TAU_SLACK; reports the worst cluster either way."""
-    ctx = TableEmd(table)
-    emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
-    worst = int(np.argmax(emds))
-    max_emd = float(emds[worst])
+    max_emd, worst = TableEmd(table).max_cluster_emd([c.members for c in partition.clusters])
     return TClosenessCheck(max_emd <= tau + TAU_SLACK, tau, max_emd, worst)
 
 
@@ -133,7 +134,7 @@ def make_report(
         tau=tau,
         k_min_actual=k_min,
         k_avg_actual=k_avg,
-        max_cluster_emd=max(ctx.cluster_emd(c.members) for c in partition.clusters),
+        max_cluster_emd=ctx.max_cluster_emd([c.members for c in partition.clusters])[0],
         sse=normalized_sse(table, anonymized, params),
         runtime_ms=runtime_ms,
         seed=seed,

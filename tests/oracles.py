@@ -1,8 +1,9 @@
 """Reference code the tests compare the package against: explicit
 distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the closed-form upper bound for clusters built
-one record per subset, and the one-candidate-at-a-time kfirst swap loop and
-list-based merge loop that the package's array versions replaced."""
+one record per subset, the one-candidate-at-a-time kfirst swap loop, the
+list-based merge loop and the np.unique k-anonymity check that the package's
+array versions replaced."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
+from tcmicro.dataset import AnonymizedTable
 from tcmicro.emd import TableEmd, check_params
+from tcmicro.metrics import KAnonymityCheck
 from tcmicro.microagg import normalized_qi, partition_from_arrays, sq_distances
 
 MASS_TOLERANCE = 1e-12
@@ -228,3 +231,15 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
         del groups[hi], centroids[hi], emds[hi]
 
     return partition_from_arrays(groups, table.n)
+
+
+def unique_verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:
+    """verify_k_anonymity grouping the QI rows with np.unique(axis=0)."""
+    qi = anonymized.table.qi_matrix()
+    _, inverse, counts = np.unique(qi, axis=0, return_inverse=True, return_counts=True)
+    min_count = int(counts.min())
+    if min_count >= k:
+        return KAnonymityCheck(True, k, min_count, None)
+    bad_group = int(np.argmin(counts))
+    witness_row = int(np.flatnonzero(inverse == bad_group)[0])
+    return KAnonymityCheck(False, k, min_count, tuple(float(v) for v in qi[witness_row]))

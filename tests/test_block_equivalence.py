@@ -1,6 +1,7 @@
 """The vectorised seeding, MDAV and tfirst builds, the block-scored kfirst
-swap search and the slot-array merge pass against the loops they replaced,
-kept here (or in oracles.py) as reference oracles.
+swap search, the slot-array merge pass with its batched first check and the
+lexsort k-anonymity check against the code they replaced, kept here (or in
+oracles.py) as reference oracles.
 
 The squared-distance helper and the compacted anchor must match numpy's
 row-major reductions bit for bit, and the partitions must be identical,
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tcmicro import (
+    AnonymizedTable,
     AttributeSpec,
     Role,
     SynthConfig,
@@ -27,9 +29,10 @@ from tcmicro import (
     normalized_qi,
     split_subsets,
     synth_generate,
+    verify_k_anonymity,
 )
 from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
-from oracles import list_merge_until_tclose, scan_generate_cluster
+from oracles import list_merge_until_tclose, scan_generate_cluster, unique_verify_k_anonymity
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -286,3 +289,57 @@ def test_merge_slots_match_loop_with_coincident_centroids():
     table = make_table(np.zeros((40, 2)), rng.integers(0, 10, 40).astype(float))
     for tau in (0.0, 0.05, 0.2):
         assert_same_kfirst_and_merge(table, 2, tau)
+
+
+GUARD_CASES = [(n, k, seed) for n in (200, 300, 500) for k in (3, 5) for seed in (0, 2)]
+
+
+def test_merge_guard_band_at_the_exact_max():
+    # tau at the partition's exact max EMD and one ulp to either side: the
+    # first check returns the partition unchanged exactly when the all-exact
+    # loop does, whichever side of the exact value partition_emds lands on
+    sides = set()
+    for n, k, seed in GUARD_CASES:
+        table = synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
+        part = mdav_partition(table, minmax_params(table), k)
+        ctx = TableEmd(table)
+        groups = [c.members for c in part.clusters]
+        fast, _ = ctx.partition_emds(groups)
+        exact = np.array([ctx.cluster_emd(g) for g in groups])
+        top = exact.max()
+        sides.add(np.sign(fast.max() - top))
+        for tau in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)):
+            assert_same_groups(
+                merged_groups(table, part, tau, merge_until_tclose),
+                merged_groups(table, part, tau, list_merge_until_tclose),
+            )
+    # the kernel lands below, above and on the exact value in these cases
+    assert sides == {-1.0, 0.0, 1.0}
+
+
+qi_cells = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 1e-300])
+
+
+@st.composite
+def released_tables(draw):
+    """Published QI rows with duplicates, ties within a column and -0.0
+    next to 0.0, drawn from a few distinct rows."""
+    q = draw(st.integers(1, 3))
+    distinct = draw(st.lists(st.tuples(*[qi_cells] * q), min_size=1, max_size=6))
+    n = draw(st.integers(1, 30))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    rows = np.column_stack([np.array([distinct[i] for i in picks]), np.arange(n)])
+    specs = tuple(AttributeSpec(f"q{i}", Role.QUASI_IDENTIFIER) for i in range(q))
+    table = Table(specs + (AttributeSpec("s", Role.CONFIDENTIAL),), rows)
+    return AnonymizedTable(table, np.zeros(n, dtype=np.int64))
+
+
+@SETTINGS
+@given(released_tables(), st.integers(2, 8))
+def test_verify_k_anonymity_matches_unique(anonymized, k):
+    got = verify_k_anonymity(anonymized, k)
+    want = unique_verify_k_anonymity(anonymized, k)
+    assert (got.ok, got.min_count) == (want.ok, want.min_count)
+    # the witness keeps the sign of a zero
+    assert np.array_equal(np.signbit(got.witness or ()), np.signbit(want.witness or ()))
+    assert got == want

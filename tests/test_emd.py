@@ -3,15 +3,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmicro import (
+    SynthConfig,
     TableEmd,
     adjust_cluster_size,
     min_emd_bound,
     required_cluster_size,
+    synth_generate,
 )
 from oracles import Distribution, distribution_of, emd_ordered, max_emd_bound, transport_oracle_emd
-from util import make_ranks_table
+from util import make_1d_table, make_ranks_table
 
 
 def uniform(m, support=None):
@@ -106,6 +110,71 @@ class TestClusterVsTable:
         t = make_ranks_table(4)
         with pytest.raises(ValueError):
             TableEmd(t).cluster_emd(np.array([], dtype=int))
+
+
+@st.composite
+def partitioned_tables(draw):
+    """A confidential column with ties, sometimes a single value (m == 1),
+    and a partition of its records into clusters of random labels, into
+    singletons, or into one cluster holding the whole table (k == n)."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    ranks = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m, unique=True))
+    table = make_1d_table(np.zeros(n), np.array(values)[ranks])
+    shape = draw(st.sampled_from(["labels", "singletons", "whole"]))
+    if shape == "labels":
+        labels = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    else:
+        labels = np.arange(n) if shape == "singletons" else np.zeros(n, dtype=int)
+    order = draw(st.permutations(np.unique(labels).tolist()))
+    return table, [np.flatnonzero(labels == c) for c in order]
+
+
+def assert_kernel_matches_loop(table, groups):
+    ctx = TableEmd(table)
+    fast, bound = ctx.partition_emds(groups)
+    exact = np.array([ctx.cluster_emd(g) for g in groups])
+    assert np.all(np.abs(fast - exact) <= bound)
+    conf = table.confidential_column()
+    whole = distribution_of(conf, ctx.support)
+    ordered = [emd_ordered(distribution_of(conf[g], ctx.support), whole) for g in groups]
+    assert np.all(np.abs(fast - ordered) <= bound)
+    worst = int(np.argmax(exact))
+    assert ctx.max_cluster_emd(groups) == (exact[worst], worst)
+
+
+class TestPartitionEmds:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(partitioned_tables())
+    def test_within_bound_of_loop_and_refined_max_is_exact(self, case):
+        assert_kernel_matches_loop(*case)
+
+    @pytest.mark.parametrize("n, m, clusters", [(3000, 3000, 60), (3000, 40, 300), (4000, 1, 7)])
+    def test_large_support_and_mixed_cluster_sizes(self, n, m, clusters):
+        rng = np.random.default_rng(n + m)
+        table = make_1d_table(np.zeros(n), rng.integers(0, m, size=n).astype(float))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=clusters - 1, replace=False))
+        assert_kernel_matches_loop(table, np.split(rng.permutation(n), cuts))
+
+    def test_exact_ties_take_the_lowest_index(self):
+        # the singletons of the lowest value, records 2 and 4, tie for the
+        # worst EMD bit for bit
+        ctx = TableEmd(make_1d_table(np.zeros(6), [2.0, 3.0, 1.0, 3.0, 1.0, 3.0]))
+        singletons = [np.array([i]) for i in range(6)]
+        assert ctx.cluster_emd([4]) == ctx.cluster_emd([2])
+        assert ctx.max_cluster_emd(singletons) == (ctx.cluster_emd([2]), 2)
+
+    def test_whole_table_is_exactly_zero(self):
+        t = synth_generate(SynthConfig(n=500, qi_count=2, target_correlation=0.52, seed=4))
+        ctx = TableEmd(t)
+        fast, bound = ctx.partition_emds([np.arange(500)])
+        assert abs(fast[0]) <= bound[0]
+        assert ctx.max_cluster_emd([np.arange(500)]) == (0.0, 0)
+
+    def test_empty_cluster_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            TableEmd(make_ranks_table(4)).partition_emds([np.arange(4), np.array([], dtype=int)])
 
 
 class TestMinBound:
