@@ -7,6 +7,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -130,56 +131,75 @@ def minmax_params(table: Table) -> NormalizationParams:
     return NormalizationParams(qi.min(axis=0), qi.max(axis=0))
 
 
+# physical lines (reader) or rows (writer) handled per block; larger blocks
+# parse no faster and raise peak memory
+_BLOCK = 1024
+
+
 def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], drop_missing: bool):
     """Read a UTF-8 CSV whose header is the declared columns, in any order,
     followed by the integer `trailing` columns. Returns the specs in file
     order, the kept rows' declared cells as an (n, declared) float array and
     their trailing cells as an (n, trailing) int64 array. A cell that parses
-    to nan or an infinity counts as missing."""
+    to nan or an infinity counts as missing.
+
+    The body is read in blocks of _BLOCK physical lines. A block that
+    _parse_block accepts becomes arrays at once; any other block goes
+    through the row-by-row _read_rows, and from the first block holding a
+    quote the rest of the file does, since a quoted cell can span lines.
+    Both give the same rows, row numbers and messages."""
     by_name = {spec.name: spec for spec in roles}
     if len(by_name) != len(roles):
         raise ValueError("duplicate attribute names in roles")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
+            header = [h.strip() for h in next(csv.reader(fh))]
         except StopIteration:
             raise ValueError(f"{path}: file is empty") from None
         width = len(header) - len(trailing)
         if tuple(header[width:]) != trailing:
             raise ValueError(f"{path}: expected a trailing {', '.join(trailing)} column")
         names = header[:width]
-        for name in names:
+        for i, name in enumerate(names):
             if name not in by_name:
                 raise ValueError(f"unknown column '{name}': no role declared for it")
+            if name in names[:i]:
+                raise ValueError(f"duplicate column '{name}' in file header")
         missing_cols = set(by_name) - set(names)
         if missing_cols:
             raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
         specs = tuple(by_name[name] for name in names)
 
-        rows, tails, row_nos = [], [], []
-        for row_no, raw in enumerate(reader, start=1):
-            if not "".join(raw).strip():
-                continue
-            if len(raw) != len(header):
-                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
+        # one (cells, tails, row numbers) part per block
+        parts = [(np.empty((0, width)), [], np.empty(0, dtype=np.int64))]
+        row_no = 0
+        while True:
+            block = []
             try:
-                values = list(map(float, raw[:width]))
-                tail = list(map(int, raw[width:]))
-            except ValueError:
-                try:
-                    values, tail = _parse_cells(header, raw, width)
-                except ValueError as exc:
-                    if drop_missing:
-                        continue
-                    raise ValueError(f"row {row_no}, {exc}") from None
-            rows += values
-            tails += tail
-            row_nos.append(row_no)
-    cells = np.array(rows, dtype=np.float64).reshape(len(row_nos), width)
+                block.extend(islice(fh, _BLOCK))
+            except UnicodeDecodeError as exc:
+                # csv.reader(fh) parses the lines decoded before the error
+                # first: this raises a bad row among them, else exc
+                _read_rows(csv.reader(chain(block, _raising(exc))), row_no, header, width,
+                           drop_missing)
+            if not block:
+                break
+            if '"' in "".join(block):
+                parts.append(_read_rows(csv.reader(chain(block, fh)), row_no, header, width,
+                                        drop_missing))
+                break
+            part = _parse_block(block, row_no, width, len(header))
+            if part is None:
+                part = _read_rows(csv.reader(block), row_no, header, width, drop_missing)
+            parts.append(part)
+            row_no += len(block)
+    cells = np.concatenate([cells for cells, _, _ in parts])
+    row_nos = np.concatenate([nos for _, _, nos in parts])
     try:
-        ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
+        ids = np.concatenate([np.array(tails, dtype=np.int64).reshape(len(nos), len(trailing))
+                              for _, tails, nos in parts])
     except OverflowError:
+        tails = [v for _, block_tails, _ in parts for v in block_tails]
         i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
         name = trailing[i % len(trailing)]
         raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
@@ -194,6 +214,63 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
     if not len(cells):
         raise ValueError(f"{path}: no usable rows after parsing")
     return specs, cells, ids
+
+
+def _raising(exc: Exception):
+    """An iterator that raises exc when asked for its first item."""
+    yield from ()
+    raise exc
+
+
+def _parse_block(block: list[str], row_no: int, width: int, ncol: int):
+    """Parse a block of quote-free physical lines, numbered from row_no + 1,
+    as one array, or return None for _read_rows to take it. Without quotes
+    csv.reader splits each line, less its terminator, at every comma, so the
+    block is taken only if every line has ncol - 1 commas and fits csv's
+    field limit, and every cell passes the float (declared) or int
+    (trailing) call that _read_rows makes first."""
+    lines = [line.rstrip("\r\n") for line in block]
+    if (max(map(len, lines)) > csv.field_size_limit()
+            or any(line.count(",") != ncol - 1 for line in lines)):
+        return None
+    grid = np.array(",".join(lines).split(","), dtype=object).reshape(len(lines), ncol)
+    try:
+        cells = np.fromiter(map(float, grid[:, :width].ravel()), np.float64, len(lines) * width)
+        tails = np.fromiter(map(int, grid[:, width:].ravel()), np.int64, grid[:, width:].size)
+    except (ValueError, OverflowError):
+        return None
+    row_nos = np.arange(row_no + 1, row_no + 1 + len(lines), dtype=np.int64)
+    return cells.reshape(len(lines), width), tails, row_nos
+
+
+def _read_rows(records, row_no: int, header: list[str], width: int, drop_missing: bool):
+    """Row-by-row parse of csv records numbered from row_no + 1: blank rows
+    are skipped, a wrong cell count is an error, and a row that fails the
+    whole-row float/int parse is parsed cell by cell, then dropped
+    (drop_missing) or reported with its row and column. Returns the kept
+    rows' cells as a float array, their trailing cells as a list of ints
+    and their row numbers."""
+    rows, tails, row_nos = [], [], []
+    for row_no, raw in enumerate(records, start=row_no + 1):
+        if not "".join(raw).strip():
+            continue
+        if len(raw) != len(header):
+            raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
+        try:
+            values = list(map(float, raw[:width]))
+            tail = list(map(int, raw[width:]))
+        except ValueError:
+            try:
+                values, tail = _parse_cells(header, raw, width)
+            except ValueError as exc:
+                if drop_missing:
+                    continue
+                raise ValueError(f"row {row_no}, {exc}") from None
+        rows += values
+        tails += tail
+        row_nos.append(row_no)
+    cells = np.array(rows, dtype=np.float64).reshape(len(row_nos), width)
+    return cells, tails, np.array(row_nos, dtype=np.int64)
 
 
 def _parse_cells(header: list[str], raw: list[str], width: int):
@@ -234,7 +311,11 @@ def load_anonymized_csv(path: Union[str, Path], roles: Sequence[AttributeSpec]) 
 
 def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> None:
     """Write a table (or anonymized table, with a trailing cluster_id column)
-    as UTF-8 CSV. Values round-trip through load_csv exactly."""
+    as UTF-8 CSV. Values round-trip through load_csv exactly.
+
+    The body is written in blocks of _BLOCK rows with the bytes csv.writer
+    gives: repr(float) never holds a comma, quote or line break, so no cell
+    is quoted, and each line ends in csv.writer's "\\r\\n"."""
     if isinstance(data, AnonymizedTable):
         table, ids = data.table, data.cluster_ids
     else:
@@ -243,13 +324,20 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
     if ids is not None:
         header.append("cluster_id")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(table.n):
-            row = [repr(float(v)) for v in table.rows[i]]
+        csv.writer(fh).writerow(header)
+        for start in range(0, table.n, _BLOCK):
+            block = table.rows[start:start + _BLOCK]
+            columns = [_repr_column(block[:, j]) for j in range(block.shape[1])]
             if ids is not None:
-                row.append(str(int(ids[i])))
-            writer.writerow(row)
+                columns.append(map(str, ids[start:start + _BLOCK].tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _repr_column(col: np.ndarray) -> np.ndarray:
+    """repr of every float in col as an object array, computed once per
+    distinct bit pattern, so -0.0 and 0.0 keep their own text."""
+    _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
+    return np.array([repr(v) for v in col[first].tolist()], dtype=object)[inverse]
 
 
 # lognormal sigma of the synthetic QI marginals: the heavy right tail typical

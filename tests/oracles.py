@@ -2,17 +2,20 @@
 distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the closed-form upper bound for clusters built
 one record per subset, the one-candidate-at-a-time kfirst swap loop, the
-list-based merge loop and the np.unique k-anonymity check that the package's
-array versions replaced."""
+list-based merge loop, the np.unique k-anonymity check, and the row-at-a-time
+CSV reader and writer that the package's array and block versions
+replaced."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
-from typing import Sequence
+from pathlib import Path
+from typing import Sequence, Union
 
 import numpy as np
 
-from tcmicro.dataset import AnonymizedTable
+from tcmicro.dataset import AnonymizedTable, AttributeSpec, Table, _parse_cells
 from tcmicro.emd import TableEmd, check_params
 from tcmicro.metrics import KAnonymityCheck
 from tcmicro.microagg import normalized_qi, partition_from_arrays, sq_distances
@@ -243,3 +246,89 @@ def unique_verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymity
     bad_group = int(np.argmin(counts))
     witness_row = int(np.flatnonzero(inverse == bad_group)[0])
     return KAnonymityCheck(False, k, min_count, tuple(float(v) for v in qi[witness_row]))
+
+
+def rowwise_read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], drop_missing: bool):
+    """Read a UTF-8 CSV whose header is the declared columns, in any order,
+    followed by the integer `trailing` columns. Returns the specs in file
+    order, the kept rows' declared cells as an (n, declared) float array and
+    their trailing cells as an (n, trailing) int64 array. A cell that parses
+    to nan or an infinity counts as missing."""
+    by_name = {spec.name: spec for spec in roles}
+    if len(by_name) != len(roles):
+        raise ValueError("duplicate attribute names in roles")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}: file is empty") from None
+        width = len(header) - len(trailing)
+        if tuple(header[width:]) != trailing:
+            raise ValueError(f"{path}: expected a trailing {', '.join(trailing)} column")
+        names = header[:width]
+        for name in names:
+            if name not in by_name:
+                raise ValueError(f"unknown column '{name}': no role declared for it")
+        missing_cols = set(by_name) - set(names)
+        if missing_cols:
+            raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
+        specs = tuple(by_name[name] for name in names)
+
+        rows, tails, row_nos = [], [], []
+        for row_no, raw in enumerate(reader, start=1):
+            if not "".join(raw).strip():
+                continue
+            if len(raw) != len(header):
+                raise ValueError(f"row {row_no}: expected {len(header)} cells, got {len(raw)}")
+            try:
+                values = list(map(float, raw[:width]))
+                tail = list(map(int, raw[width:]))
+            except ValueError:
+                try:
+                    values, tail = _parse_cells(header, raw, width)
+                except ValueError as exc:
+                    if drop_missing:
+                        continue
+                    raise ValueError(f"row {row_no}, {exc}") from None
+            rows += values
+            tails += tail
+            row_nos.append(row_no)
+    cells = np.array(rows, dtype=np.float64).reshape(len(row_nos), width)
+    try:
+        ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
+    except OverflowError:
+        i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
+        name = trailing[i % len(trailing)]
+        raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
+                         "integer out of range") from None
+    finite = np.isfinite(cells).all(axis=1)
+    if not finite.all():
+        if not drop_missing:
+            i = int(np.argmin(finite))
+            name = header[int(np.argmin(np.isfinite(cells[i])))]
+            raise ValueError(f"row {row_nos[i]}, column '{name}': non-finite cell")
+        cells, ids = cells[finite], ids[finite]
+    if not len(cells):
+        raise ValueError(f"{path}: no usable rows after parsing")
+    return specs, cells, ids
+
+
+def rowwise_write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> None:
+    """Write a table (or anonymized table, with a trailing cluster_id column)
+    as UTF-8 CSV. Values round-trip through load_csv exactly."""
+    if isinstance(data, AnonymizedTable):
+        table, ids = data.table, data.cluster_ids
+    else:
+        table, ids = data, None
+    header = [spec.name for spec in table.specs]
+    if ids is not None:
+        header.append("cluster_id")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(table.n):
+            row = [repr(float(v)) for v in table.rows[i]]
+            if ids is not None:
+                row.append(str(int(ids[i])))
+            writer.writerow(row)

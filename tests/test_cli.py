@@ -126,6 +126,21 @@ def test_missing_input_is_io_error(tmp_path, synth_files):
     assert rc == 3
 
 
+def test_anonymize_rejects_repeated_header_column(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,a,b\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
+    roles = tmp_path / "roles.cfg"
+    roles.write_text("a=qi\nb=confidential\n", encoding="utf-8")
+    out = tmp_path / "anon.csv"
+    rc = main([
+        "anonymize", "--input", str(data), "--roles", str(roles),
+        "--algorithm", "merge", "--k", "2", "--t", "1", "--output", str(out),
+    ])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: duplicate column 'a' in file header\n"
+
+
 def test_verify_empty_release_is_usage_error(tmp_path, synth_files, capsys):
     data, roles = synth_files
     empty = tmp_path / "empty.csv"
@@ -206,10 +221,15 @@ def _drop_qi1(header, rows):
     return header[:col] + header[col + 1:], [row[:col] + row[col + 1:] for row in rows]
 
 
+def _qi2_renamed_qi1(header, rows):
+    return ["qi1" if name == "qi2" else name for name in header], rows
+
+
 @pytest.mark.parametrize("tamper, code, message", [
     (_constant_confidential, 2, "confidential column: FAIL (first differing row 1:"),
     (_drop_qi1, 1, "declared columns missing from file: ['qi1']"),
-], ids=["constant-confidential", "missing-qi1"])
+    (_qi2_renamed_qi1, 1, "duplicate column 'qi1' in file header"),
+], ids=["constant-confidential", "missing-qi1", "duplicate-qi1"])
 def test_verify_rejects_tampered_tfirst_release(
     tmp_path, synth_files, capsys, tamper, code, message
 ):

@@ -177,8 +177,10 @@ class TestWriteCsv:
         ("age,zip,income\n1,2,3\n", ROLES, "trailing cluster_id column"),
         ("age,zip,income,cluster_id\n1,2,3,0\n1,2,4,99999999999999999999\n", ROLES,
          r"row 2, column 'cluster_id'"),
+        ("age,age,income,cluster_id\n1,2,3,0\n", [ROLES[0], ROLES[2]],
+         "duplicate column 'age' in file header"),
     ], ids=["bad-cell", "fractional-id", "empty-id", "missing-column", "duplicate-role",
-            "no-cluster-id", "oversized-id"])
+            "no-cluster-id", "oversized-id", "duplicate-column"])
     def test_bad_release_rejected(self, tmp_path, text, roles, message):
         path = write(tmp_path, text)
         with pytest.raises(ValueError, match=message):
