@@ -120,9 +120,14 @@ class NormalizationParams:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
-    @property
-    def spans(self) -> np.ndarray:
-        return self.maxs - self.mins
+    def scaled(self, values: np.ndarray) -> np.ndarray:
+        """values, one column per QI, divided by each QI's span max - min; a
+        constant QI (span 0) maps to 0."""
+        spans = self.maxs - self.mins
+        out = np.zeros_like(values)
+        ok = spans > 0
+        out[:, ok] = values[:, ok] / spans[ok]
+        return out
 
 
 def minmax_params(table: Table) -> NormalizationParams:

@@ -135,7 +135,7 @@ def kfirst_partition(
     t-close yet (see run_kfirst_algorithm)."""
     check_params(table.n, k, tau)
     x = normalized_qi(table, params)
-    return seeded_partition(x, lambda seed, pool: generate_cluster(seed, pool, x, ctx, k, tau))
+    return seeded_partition(x, lambda seed, pool, _: generate_cluster(seed, pool, x, ctx, k, tau))
 
 
 def run_kfirst_algorithm(

@@ -38,14 +38,9 @@ def merge_until_tclose(
         raise ValueError("partition does not match the table size")
 
     groups = [c.members for c in partition.clusters]
-    # every cluster_emd is at most fast + bound, so whenever this returns,
-    # the exact check below would have returned too
-    fast, bound = ctx.partition_emds(groups)
-    if (fast + bound).max() <= tau:
+    if ctx.max_cluster_emd(groups)[0] <= tau:
         return partition
     emds = np.array([ctx.cluster_emd(g) for g in groups])
-    if emds.max() <= tau:
-        return partition
 
     # One slot per input cluster, in input order. A slot merged away is dead:
     # its EMD is -inf and its centroid +inf, hence its distance too, so argmax

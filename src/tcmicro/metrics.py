@@ -76,11 +76,7 @@ def normalized_sse(
     if anon.rows.shape != original.rows.shape:
         raise ValueError("original and anonymized tables differ in shape")
     qi_idx = np.array(original.qi_indices)
-    spans = params.spans
-    diff = original.rows[:, qi_idx] - anon.rows[:, qi_idx]
-    ned = np.zeros_like(diff)
-    ok = spans > 0
-    ned[:, ok] = diff[:, ok] / spans[ok]
+    ned = params.scaled(original.rows[:, qi_idx] - anon.rows[:, qi_idx])
     m = len(qi_idx) + 1
     return float((ned**2).sum() / (original.n * m))
 

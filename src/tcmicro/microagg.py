@@ -60,12 +60,7 @@ def partition_from_arrays(member_arrays, n: int) -> Partition:
 def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
     """QI matrix mapped into [0, 1] per attribute with the given min/max;
     degenerate attributes (min == max) map to 0."""
-    qi = table.qi_matrix()
-    spans = params.spans
-    out = np.zeros_like(qi)
-    ok = spans > 0
-    out[:, ok] = (qi[:, ok] - params.mins[ok]) / spans[ok]
-    return out
+    return params.scaled(table.qi_matrix() - params.mins)
 
 
 def sq_distances(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -125,10 +120,11 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
     Seeds alternate between the unassigned record farthest from the average of
     the unassigned records and the unassigned record farthest from the
     previous seed; ties break toward the lowest record index. For each seed,
-    build(seed, pool) returns the members of its cluster, drawn from the
+    build(seed, pool, cols) returns the members of its cluster, drawn from the
     ascending array pool of unassigned records; they leave the pool, and
-    seeding continues until the pool is empty. The search runs on an
-    attribute-major copy of the pool's rows, compacted after every cluster.
+    seeding continues until the pool is empty. cols is the attribute-major
+    copy of the pool's rows (cols[:, i] is x[pool[i]]) that the search runs
+    on, compacted after every cluster; build may read it but not change it.
     """
     alive = np.ones(x.shape[0], dtype=bool)
     pool = np.arange(x.shape[0])
@@ -138,7 +134,7 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
     while pool.size:
         anchor = _record_mean(cols) if prev is None else x[prev]
         seed = int(pool[np.argmax(sq_distances(cols, anchor))])
-        members = build(seed, pool)
+        members = build(seed, pool, cols)
         alive[members] = False
         groups.append(members)
         keep = alive[pool]
@@ -167,12 +163,11 @@ def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partiti
     """
     check_params(table.n, k)
     x = normalized_qi(table, params)
-    cols = np.ascontiguousarray(x.T)
 
-    def build(seed: int, pool: np.ndarray) -> np.ndarray:
+    def build(seed: int, pool: np.ndarray, cols: np.ndarray) -> np.ndarray:
         if pool.size < 2 * k:
             return pool
-        return pool[_k_smallest(sq_distances(cols.take(pool, axis=1), x[seed]), k)]
+        return pool[_k_smallest(sq_distances(cols, x[seed]), k)]
 
     return seeded_partition(x, build)
 

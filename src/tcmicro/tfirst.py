@@ -25,7 +25,7 @@ class RankedSubsets:
     Row i of `ids` holds subset i's record indices in ascending index order;
     slots already taken, and the padding of rows shorter than the block, hold
     -1. `sizes` counts each subset's records not yet taken. Non-central
-    subsets start with exactly `baseline` records; the n mod k leftover
+    subsets start with exactly floor(n/k) records; the n mod k leftover
     records sit in the central subset(s), with a per-subset budget of extras
     still to hand out. `coords` is the (q, k, width) block of the records'
     normalized QI coordinates, +inf at taken and padding slots; build_cluster
@@ -34,7 +34,6 @@ class RankedSubsets:
 
     ids: np.ndarray
     sizes: np.ndarray
-    baseline: int
     extras: list[int]
     coords: Optional[np.ndarray] = None
 
@@ -70,7 +69,7 @@ def split_subsets(table: Table, k: int) -> RankedSubsets:
     for i, size in enumerate(sizes):
         ids[i, :size] = np.sort(ranked[at : at + size])
         at += size
-    return RankedSubsets(ids, sizes, baseline, extras)
+    return RankedSubsets(ids, sizes, extras)
 
 
 def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
@@ -137,6 +136,6 @@ def run_tfirst_algorithm(
         n = table.n
         ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
         x = normalized_qi(table, params)
-        return seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
+        return seeded_partition(x, lambda seed, pool, _: build_cluster(seed, ranked, x))
 
     return release("tfirst", table, k, tau, seed, partition_step)

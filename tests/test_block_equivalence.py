@@ -108,7 +108,7 @@ def oracle_tfirst(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
 
 def tfirst_groups(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
     ranked = split_subsets(table, k)
-    part = seeded_partition(x, lambda seed, pool: build_cluster(seed, ranked, x))
+    part = seeded_partition(x, lambda seed, pool, _: build_cluster(seed, ranked, x))
     return [c.members for c in part.clusters]
 
 
@@ -218,7 +218,7 @@ TAUS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
 def kfirst_groups(table: Table, k: int, tau: float, generate) -> list[np.ndarray]:
     x = normalized_qi(table, minmax_params(table))
     ctx = TableEmd(table)
-    part = seeded_partition(x, lambda seed, pool: generate(seed, pool, x, ctx, k, tau))
+    part = seeded_partition(x, lambda seed, pool, _: generate(seed, pool, x, ctx, k, tau))
     return [c.members for c in part.clusters]
 
 

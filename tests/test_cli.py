@@ -154,6 +154,28 @@ def test_verify_empty_release_is_usage_error(tmp_path, synth_files, capsys):
     assert err.startswith("error:") and "file is empty" in err
 
 
+@pytest.mark.parametrize("command", ["anonymize", "verify"])
+def test_cell_over_field_limit_is_usage_error(tmp_path, capsys, command):
+    # one cell a character longer than csv's default field limit of 131,072
+    long_cell = "1" + "0" * 131072
+    roles = tmp_path / "roles.cfg"
+    roles.write_text("a=qi\nb=confidential\n", encoding="utf-8")
+    data = tmp_path / "data.csv"
+    release = tmp_path / "anon.csv"
+    if command == "anonymize":
+        data.write_text(f"a,b\n1,2\n{long_cell},4\n5,6\n", encoding="utf-8")
+        argv = ["anonymize", "--algorithm", "merge", "--output", str(release)]
+    else:
+        data.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
+        release.write_text(f"a,b,cluster_id\n3,2,0\n{long_cell},4,0\n3,6,0\n", encoding="utf-8")
+        argv = ["verify", "--anonymized", str(release)]
+    rc = main(argv + ["--input", str(data), "--roles", str(roles), "--k", "2", "--t", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: field larger than field limit (131072)\n"
+    assert "Traceback" not in err
+
+
 def test_partition_from_ids_unsorted_with_gaps():
     ids = np.array([7, 2, 7, 9, 2, 2, 40, 7])
     part = _partition_from_ids(ids)

@@ -17,6 +17,7 @@ from tcmicro import (
     synth_generate,
     write_csv,
 )
+from tcmicro.dataset import NormalizationParams
 
 ROLES = [
     AttributeSpec("age", Role.QUASI_IDENTIFIER),
@@ -147,6 +148,15 @@ class TestMinmaxParams:
         t = Table(ROLES, rng.uniform(-100, 100, size=(40, 3)))
         x = normalized_qi(t, minmax_params(t))
         assert x.min() >= 0.0 and x.max() <= 1.0
+
+    def test_scaled_divides_by_span_and_zeroes_constant_column(self):
+        p = NormalizationParams(np.array([0.0, 5.0, -3.0]), np.array([3.0, 5.0, 0.7]))
+        values = np.random.default_rng(2).uniform(-9, 9, size=(6, 3))
+        out = p.scaled(values)
+        assert np.all(out[:, 1] == 0.0)
+        spans = p.maxs - p.mins
+        for j in (0, 2):
+            assert np.array_equal(out[:, j], values[:, j] / spans[j])
 
 
 class TestWriteCsv:

@@ -128,7 +128,7 @@ class TestSeededPartition:
         # from it
         t = make_ranks_table(7)
         x = normalized_qi(t, minmax_params(t))
-        part = seeded_partition(x, lambda seed, pool: np.array([seed]))
+        part = seeded_partition(x, lambda seed, pool, _: np.array([seed]))
         assert [int(c.members[0]) for c in part.clusters] == [0, 6, 1, 5, 2, 4, 3]
 
     def test_build_sees_only_unassigned_records(self):
@@ -136,8 +136,9 @@ class TestSeededPartition:
         x = normalized_qi(t, minmax_params(t))
         pools = []
 
-        def build(seed, pool):
+        def build(seed, pool, cols):
             pools.append(pool.copy())
+            assert np.array_equal(cols, x[pool].T)
             return pool[:3]
 
         part = seeded_partition(x, build)

@@ -153,7 +153,7 @@ class TestRunTfirst:
     def test_uniform_subset_depletion(self):
         t = small_table(60, 9)
         ranked = split_subsets(t, 5)
-        baseline = ranked.baseline
+        baseline = t.n // 5
         for built in range(1, 4):
             build(built, ranked, t)
             assert all(s.size == baseline - built for s in remaining(ranked))
