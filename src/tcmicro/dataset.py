@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -320,7 +320,10 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
 
     The body is written in blocks of _BLOCK rows with the bytes csv.writer
     gives: repr(float) never holds a comma, quote or line break, so no cell
-    is quoted, and each line ends in csv.writer's "\\r\\n"."""
+    is quoted, and each line ends in csv.writer's "\\r\\n". A column of at
+    most _BLOCK distinct values, such as a release's QI column, calls repr
+    once per distinct value for the whole file; any other column once per
+    distinct value in each block."""
     if isinstance(data, AnonymizedTable):
         table, ids = data.table, data.cluster_ids
     else:
@@ -330,12 +333,29 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
         header.append("cluster_id")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
+        whole = [_few_distinct_reprs(table.rows[:, j]) for j in range(table.rows.shape[1])]
         for start in range(0, table.n, _BLOCK):
             block = table.rows[start:start + _BLOCK]
-            columns = [_repr_column(block[:, j]) for j in range(block.shape[1])]
+            columns = [
+                _repr_column(block[:, j]) if texts is None else texts[start:start + _BLOCK]
+                for j, texts in enumerate(whole)
+            ]
             if ids is not None:
                 columns.append(map(str, ids[start:start + _BLOCK].tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _few_distinct_reprs(col: np.ndarray) -> Optional[np.ndarray]:
+    """_repr_column(col) when col holds at most _BLOCK distinct bit patterns,
+    else None. The first 2 * _BLOCK cells are tested before the whole
+    column, so a column of mostly distinct values pays one small sort."""
+    head = np.sort(col[:2 * _BLOCK].view(np.int64))
+    if np.count_nonzero(head[1:] != head[:-1]) >= _BLOCK:
+        return None
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if bits.size > _BLOCK:
+        return None
+    return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
 
 
 def _repr_column(col: np.ndarray) -> np.ndarray:

@@ -13,100 +13,110 @@ import numpy as np
 from .dataset import Table
 
 
+# every int64 intermediate of the EMD kernel is at most n * n * m
+_INT64_RANGE = 2**63
+
+
 class TableEmd:
     """Rank-indexed view of a table's confidential column for repeated
-    cluster-vs-table EMD evaluations."""
+    cluster-vs-table EMD evaluations.
+
+    For a cluster of s of the table's n records over its m distinct values,
+    let A_j and B_j count the cluster's and the table's records of rank at
+    most j. The EMD with ground distance |i - j| / (m - 1) is
+
+        D / (s n (m - 1)),    D = sum over j of |n A_j - s B_j|,
+
+    and D is an integer, summed exactly in int64 whatever the order. No
+    intermediate exceeds n * n * m, so a table with n * n * m >= 2**63 is
+    rejected."""
 
     def __init__(self, table: Table):
         conf = table.confidential_column()
         support, ranks, counts = np.unique(conf, return_inverse=True, return_counts=True)
+        self.n = table.n
         self.support = support
         self.ranks = ranks
         self.m = support.size
+        if self.n * self.n * self.m >= _INT64_RANGE:
+            raise ValueError(
+                f"table too large for the exact EMD: n={self.n} records over m={self.m} "
+                "distinct confidential values need n * n * m < 2**63"
+            )
         self.table_mass = counts / table.n
-        # the table CDF P and its prefix sums S[j] = P[0] + ... + P[j-1]
-        self._cdf = np.cumsum(self.table_mass)
-        self._cdf_sums = np.concatenate(([0.0], np.cumsum(self._cdf)))
+        # the table's cumulative counts B and their prefix sums
+        # SB[j] = B[0] + ... + B[j-1]
+        self._b = np.cumsum(counts)
+        self._sb = np.concatenate(([0], np.cumsum(self._b)))
 
     def cluster_emd(self, members: np.ndarray) -> float:
         """EMD between the cluster's confidential distribution and the whole
-        table's, exactly 0 for the full table."""
+        table's, exactly 0 for the full table: the partition_emds kernel on
+        one cluster, O(s log n) for s members."""
         members = np.asarray(members)
         if members.size == 0:
             raise ValueError("cluster is empty")
         if self.m == 1:
             return 0.0
-        counts = np.bincount(self.ranks[members], minlength=self.m)
-        cum = np.cumsum(counts / members.size - self.table_mass)
-        return float(np.abs(cum).sum() / (self.m - 1))
+        ranks = np.sort(self.ranks[members])
+        s = ranks.size
+        hi = np.empty_like(ranks)
+        hi[:-1], hi[-1] = ranks[1:], self.m
+        d = self._numerators(ranks, hi, np.arange(1, s + 1), s, [0], s, ranks.sum())
+        return float(self._emds(d, s)[0])
 
-    def partition_emds(self, groups) -> tuple[np.ndarray, np.ndarray]:
-        """Every cluster's EMD at once, and for each a bound g on its distance
-        from cluster_emd(members).
-
-        Between two consecutive distinct ranks of a cluster its cumulative
-        mass Q is a constant q and the table's P is nondecreasing, so the sum
-        of |q - P[j]| over that interval is two products and four lookups in
-        the prefix sums S, split where searchsorted puts q in P. One sort by
-        (cluster, rank) finds the intervals of every cluster and one
-        np.add.reduceat adds them up: O(n log n) for the whole partition
-        instead of O(m) per cluster.
-
-        Error bound, for a cluster of s members: let u = 2**-53 and assume
-        (m + s) u < 0.01. Sums of nonnegative terms are recursive, so P is
-        within 1.02 (m + 1) u of the exact table CDF and each S[j] within
-        1.03 m**2 u of the exact prefix sum of the computed P. Given the
-        computed P and q, the interval formula is exact, so the cluster's sum
-        over its d <= s intervals and the leading one is off by at most 4d + 1
-        lookup errors, 7d roundings of magnitude at most 2.2 m u each, the
-        reduceat's d adds, m u from rounding q, m times the error in P and the
-        final division.
-        cluster_emd's cumsum over m terms of total magnitude at most 2 and its
-        sum of |cum| are off by at most 3.07 m**2 u + 4.2 m u. With
-        m**2 / (m - 1) <= m + 2 for m >= 2, the two differ by at most
-
-            u ((4.12 s + 5.12) m + 41.28 s + 26.72)
-            < g - 60 u,    g = 16 (s + 2) (m + 3) u,
-
-        and the 60 u of headroom covers the rounding of fast +- g, so a
-        comparison of the rounded fast + g or fast - g against tau or against
-        each other errs only on the safe side. For m == 1 both EMDs are 0.
-        """
+    def partition_emds(self, groups) -> np.ndarray:
+        """Every cluster's EMD at once, bit for bit cluster_emd of each: one
+        sort by (cluster, rank) orders every cluster's ranks, and the kernel
+        is O(n log n) for the whole partition instead of O(m) per cluster."""
         sizes = np.array([len(g) for g in groups], dtype=np.int64)
         if not sizes.all():
             raise ValueError("cluster is empty")
         m = self.m
         if m == 1:
-            return np.zeros(sizes.size), np.zeros(sizes.size)
-        labels = np.repeat(np.arange(sizes.size), sizes)
-        keys = np.sort(labels * m + self.ranks[np.concatenate(groups)])
-        # one run per distinct (cluster, rank); a run's rank starts the
-        # interval on which the cluster's cumulative count is its end + 1
-        ends = np.append(np.flatnonzero(np.diff(keys)), keys.size - 1)
-        cluster, lo = np.divmod(keys[ends], m)
-        first = np.flatnonzero(np.diff(cluster, prepend=-1))
+            return np.zeros(sizes.size)
+        ranks = self.ranks[np.concatenate(groups)]
         starts = np.cumsum(sizes) - sizes
-        q = (ends + 1 - starts[cluster]) / sizes[cluster]
-        hi = np.append(lo[1:], m)
-        hi[first[1:] - 1] = m
-        t = np.clip(np.searchsorted(self._cdf, q), lo, hi)
-        psum = self._cdf_sums
-        below = q * (t - lo) - (psum[t] - psum[lo])
-        above = (psum[hi] - psum[t]) - q * (hi - t)
-        # before its first rank a cluster's cumulative mass is 0
-        sums = np.add.reduceat(below + above, first) + psum[lo[first]]
-        return sums / (m - 1), 16.0 * (sizes + 2) * (m + 3) * 2.0**-53
+        labels = np.repeat(np.arange(sizes.size), sizes)
+        # sorting keeps the clusters in order, each one's ranks ascending
+        offsets = labels * m
+        lo = np.sort(offsets + ranks) - offsets
+        hi = np.empty_like(lo)
+        hi[:-1], hi[-1] = lo[1:], m
+        hi[starts[1:] - 1] = m
+        a = np.arange(1, lo.size + 1) - starts[labels]
+        d = self._numerators(lo, hi, a, sizes[labels], starts, sizes, np.add.reduceat(ranks, starts))
+        return self._emds(d, sizes)
+
+    def _numerators(self, lo, hi, a, s, first, sizes, rank_sums) -> np.ndarray:
+        """D of each cluster from its ranks in ascending order: the one at
+        lo, the a-th of a cluster of s, starts the ranks [lo, hi) up to the
+        next one (none for a repeated rank), on which A_j = a. first holds
+        the position of each cluster's first rank, sizes and rank_sums its
+        size and sum of ranks.
+
+        On [lo, hi) B is nondecreasing, so the part where s B_j > n a starts
+        at the searchsorted position t of ceil(n a / s), and the sum of
+        s B_j - n a over [t, hi) is two products and two lookups in SB.
+        With the ranks before the first, where A_j = 0, that gives P, the
+        sum of max(0, s B_j - n A_j) over all j; and sum_j (n A_j - s B_j)
+        = n (s m - rank_sums) - s SB[m], so D = 2 P + that sum."""
+        n, sb = self.n, self._sb
+        na = n * a
+        t = np.minimum(np.maximum(np.searchsorted(self._b, (na + s - 1) // s), lo), hi)
+        p = np.add.reduceat(s * (sb[hi] - sb[t]) - na * (hi - t), first) + sizes * sb[lo[first]]
+        return 2 * p + (n * (sizes * self.m - rank_sums) - sizes * sb[-1])
+
+    def _emds(self, d, sizes) -> np.ndarray:
+        """EMD = D / (s n (m - 1)), one rounding from the exact integers."""
+        return d / (sizes * (self.n * (self.m - 1)))
 
     def max_cluster_emd(self, groups) -> tuple[float, int]:
-        """The largest cluster_emd over groups and the lowest index attaining
-        it, bit for bit what a loop over every cluster gives. Only the clusters
-        whose partition_emds interval reaches the largest lower bound, which
-        include every cluster attaining the maximum, are computed exactly."""
-        fast, bound = self.partition_emds(groups)
-        candidates = np.flatnonzero(fast + bound >= (fast - bound).max())
-        exact = [self.cluster_emd(groups[i]) for i in candidates]
-        best = int(np.argmax(exact))
-        return exact[best], int(candidates[best])
+        """The largest cluster EMD over groups and the lowest index attaining
+        it."""
+        emds = self.partition_emds(groups)
+        worst = int(np.argmax(emds))
+        return float(emds[worst]), worst
 
 
 def check_params(n: int, k, tau=None) -> None:

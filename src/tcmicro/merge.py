@@ -31,6 +31,12 @@ def merge_until_tclose(
     EMD is exactly 0. A partition that already satisfies tau is returned
     unchanged. Ties break toward the lower cluster index; the merged cluster
     keeps the lower of the two slots.
+
+    Every EMD is TableEmd's exact integer formula, so two clusters of equal
+    EMD tie bit for bit. One partition_emds call gives the initial EMDs; a
+    merge costs one cluster_emd of the merged cluster, O(s log n) for s
+    records, one argmax that is also the tau test and one distance pass over
+    the attribute-major centroids.
     """
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
@@ -38,29 +44,30 @@ def merge_until_tclose(
         raise ValueError("partition does not match the table size")
 
     groups = [c.members for c in partition.clusters]
-    if ctx.max_cluster_emd(groups)[0] <= tau:
+    emds = ctx.partition_emds(groups)
+    worst = int(np.argmax(emds))
+    if emds[worst] <= tau:
         return partition
-    emds = np.array([ctx.cluster_emd(g) for g in groups])
 
     # One slot per input cluster, in input order. A slot merged away is dead:
     # its EMD is -inf and its centroid +inf, hence its distance too, so argmax
     # and argmin still pick the lowest live slot among ties, as if the dead
-    # slots had been deleted.
+    # slots had been deleted. cols[j] holds attribute j of every centroid.
     x = normalized_qi(table, params)
-    centroids = np.array([x[g].mean(axis=0) for g in groups])
+    cols = np.array([x[g].mean(axis=0) for g in groups]).T.copy()
     live = len(groups)
 
-    while emds.max() > tau and live > 1:
-        worst = int(np.argmax(emds))
-        dists = sq_distances(centroids.T, centroids[worst])
+    while emds[worst] > tau and live > 1:
+        dists = sq_distances(cols, cols[:, worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))
         merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
         groups[lo], groups[hi] = merged, None
-        centroids[lo], centroids[hi] = x[merged].mean(axis=0), np.inf
+        cols[:, lo], cols[:, hi] = x[merged].mean(axis=0), np.inf
         emds[lo], emds[hi] = ctx.cluster_emd(merged), -np.inf
         live -= 1
+        worst = int(np.argmax(emds))
 
     groups = [g for g in groups if g is not None]
     return partition_from_arrays(groups, table.n)

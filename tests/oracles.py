@@ -1,10 +1,10 @@
 """Reference code the tests compare the package against: explicit
 distributions over an ordered support, the cumulative-mass EMD formula, a
-mass-moving transport oracle, the closed-form upper bound for clusters built
-one record per subset, the one-candidate-at-a-time kfirst swap loop, the
-list-based merge loop, the np.unique k-anonymity check, and the row-at-a-time
-CSV reader and writer that the package's array and block versions
-replaced."""
+mass-moving transport oracle, the integer EMD numerator summed over every
+rank, the closed-form upper bound for clusters built one record per subset,
+the one-candidate-at-a-time kfirst swap loop, the list-based merge loop, the
+np.unique k-anonymity check, and the row-at-a-time CSV reader and writer that
+the package's array and block versions replaced."""
 
 from __future__ import annotations
 
@@ -111,6 +111,27 @@ def transport_oracle_emd(p: Distribution, q: Distribution) -> float:
         a[i] -= moved
         b[j] -= moved
     return cost
+
+
+def emd_numerator(conf: np.ndarray, members: Sequence[int]) -> int:
+    """D = sum over every rank j of |n A_j - s B_j| as a Python integer, for a
+    cluster of s of the n values in conf, A_j and B_j counting the cluster's
+    and the whole column's values at most the j-th smallest distinct value."""
+    conf = np.asarray(conf, dtype=np.float64)
+    support = np.unique(conf)
+    b = np.searchsorted(np.sort(conf), support, side="right").tolist()
+    a = np.searchsorted(np.sort(conf[np.asarray(members)]), support, side="right").tolist()
+    n, s = conf.size, len(members)
+    return sum(abs(n * a_j - s * b_j) for a_j, b_j in zip(a, b))
+
+
+def exact_emd(conf: np.ndarray, members: Sequence[int]) -> float:
+    """The cluster's EMD D / (s n (m - 1)), rounded once from the exact
+    integers; 0 for a single distinct value."""
+    m = np.unique(conf).size
+    if m == 1:
+        return 0.0
+    return emd_numerator(conf, members) / (len(members) * len(conf) * (m - 1))
 
 
 def max_emd_bound(n: int, k: int) -> float:

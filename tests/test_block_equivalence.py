@@ -32,7 +32,12 @@ from tcmicro import (
     verify_k_anonymity,
 )
 from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
-from oracles import list_merge_until_tclose, scan_generate_cluster, unique_verify_k_anonymity
+from oracles import (
+    exact_emd,
+    list_merge_until_tclose,
+    scan_generate_cluster,
+    unique_verify_k_anonymity,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -291,30 +296,24 @@ def test_merge_slots_match_loop_with_coincident_centroids():
         assert_same_kfirst_and_merge(table, 2, tau)
 
 
-GUARD_CASES = [(n, k, seed) for n in (200, 300, 500) for k in (3, 5) for seed in (0, 2)]
+MAX_CASES = [(n, k, seed) for n in (200, 300, 500) for k in (3, 5) for seed in (0, 2)]
 
 
-def test_merge_guard_band_at_the_exact_max():
-    # tau at the partition's exact max EMD and one ulp to either side: the
-    # first check returns the partition unchanged exactly when the all-exact
-    # loop does, whichever side of the exact value partition_emds lands on
-    sides = set()
-    for n, k, seed in GUARD_CASES:
+def test_merge_at_the_exact_max_matches_loop():
+    # tau at the partition's max EMD, which is the integer oracle's value,
+    # and one ulp to either side: the merge pass returns the partition
+    # unchanged, or merges, exactly when the list-based loop does
+    for n, k, seed in MAX_CASES:
         table = synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
         part = mdav_partition(table, minmax_params(table), k)
-        ctx = TableEmd(table)
-        groups = [c.members for c in part.clusters]
-        fast, _ = ctx.partition_emds(groups)
-        exact = np.array([ctx.cluster_emd(g) for g in groups])
-        top = exact.max()
-        sides.add(np.sign(fast.max() - top))
+        conf = table.confidential_column()
+        top = max(exact_emd(conf, c.members) for c in part.clusters)
+        assert TableEmd(table).max_cluster_emd([c.members for c in part.clusters])[0] == top
         for tau in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)):
             assert_same_groups(
                 merged_groups(table, part, tau, merge_until_tclose),
                 merged_groups(table, part, tau, list_merge_until_tclose),
             )
-    # the kernel lands below, above and on the exact value in these cases
-    assert sides == {-1.0, 0.0, 1.0}
 
 
 qi_cells = st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, 1e-300])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tcmicro import aggregate, cli, mdav_partition, minmax_params
+from tcmicro import aggregate, cli, emd, mdav_partition, minmax_params
 from tcmicro.cli import _partition_from_ids, main
 from tcmicro.dataset import load_csv
 from tcmicro.cli import read_roles
@@ -174,6 +174,26 @@ def test_cell_over_field_limit_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "error: field larger than field limit (131072)\n"
     assert "Traceback" not in err
+
+
+def test_table_beyond_the_exact_emd_range_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the exact EMD needs n * n * m < 2**63, which takes about two million
+    # distinct records to break; a lowered limit stands in for such a table
+    monkeypatch.setattr(emd, "_INT64_RANGE", 3**3)
+    roles = tmp_path / "roles.cfg"
+    roles.write_text("a=qi\nb=confidential\n", encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n1,2\n3,4\n5,6\n", encoding="utf-8")
+    rc = main([
+        "anonymize", "--input", str(data), "--roles", str(roles), "--algorithm", "merge",
+        "--k", "2", "--t", "1", "--output", str(tmp_path / "anon.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: table too large for the exact EMD: n=3 records over m=3 distinct "
+        "confidential values need n * n * m < 2**63\n"
+    )
+    assert not (tmp_path / "anon.csv").exists()
 
 
 def test_partition_from_ids_unsorted_with_gaps():

@@ -218,3 +218,25 @@ def test_writer_matches_rowwise_writer(tmp_path, n, seed):
     back = load_anonymized_csv(tmp_path / "new.csv", ROLES)
     assert back.table.rows.tobytes() == table.rows.tobytes()
     assert back.cluster_ids.tolist() == ids.tolist()
+
+
+def test_writer_matches_rowwise_writer_on_few_distinct_values(tmp_path):
+    # several blocks of columns with few distinct values, -0.0 next to 0.0:
+    # one column converted whole, one whose first 2 * _BLOCK rows are all
+    # distinct and the rest few, one all distinct
+    n = 3 * dataset._BLOCK + 17
+    rng = np.random.default_rng(4)
+    few = rng.choice([0.0, -0.0, 1.5, -2.25, 1e-300, 0.1], size=n)
+    late = np.concatenate([rng.normal(size=2 * dataset._BLOCK), few[2 * dataset._BLOCK:]])
+    table = Table(ROLES, np.column_stack([few, late, rng.normal(size=n)]))
+    assert dataset._few_distinct_reprs(table.rows[:, 0]) is not None
+    assert dataset._few_distinct_reprs(table.rows[:, 1]) is None
+    # few distinct values up front, then many
+    assert dataset._few_distinct_reprs(np.concatenate([few, rng.normal(size=n)])) is None
+    for data in (table, AnonymizedTable(table, np.arange(n) // 7)):
+        write_csv(data, tmp_path / "new.csv")
+        rowwise_write_csv(data, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = load_anonymized_csv(tmp_path / "new.csv", ROLES)
+    assert back.table.rows.tobytes() == table.rows.tobytes()
+    assert np.signbit(back.table.rows[:, 0]).tolist() == np.signbit(few).tolist()

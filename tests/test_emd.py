@@ -10,11 +10,20 @@ from tcmicro import (
     SynthConfig,
     TableEmd,
     adjust_cluster_size,
+    emd,
     min_emd_bound,
     required_cluster_size,
     synth_generate,
 )
-from oracles import Distribution, distribution_of, emd_ordered, max_emd_bound, transport_oracle_emd
+from oracles import (
+    Distribution,
+    distribution_of,
+    emd_numerator,
+    emd_ordered,
+    exact_emd,
+    max_emd_bound,
+    transport_oracle_emd,
+)
 from util import make_1d_table, make_ranks_table
 
 
@@ -114,12 +123,16 @@ class TestClusterVsTable:
 
 @st.composite
 def partitioned_tables(draw):
-    """A confidential column with ties, sometimes a single value (m == 1),
-    and a partition of its records into clusters of random labels, into
-    singletons, or into one cluster holding the whole table (k == n)."""
+    """A confidential column with ties, sometimes a single value (m == 1) or
+    a few rows repeated whole, and a partition of its records into clusters
+    of random labels, into singletons, or into one cluster holding the whole
+    table (k == n)."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, n))
     ranks = np.array(draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        # duplicate rows: the first few rows tiled over the whole table
+        ranks = np.resize(ranks[: draw(st.integers(1, n))], n)
     values = draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m, unique=True))
     table = make_1d_table(np.zeros(n), np.array(values)[ranks])
     shape = draw(st.sampled_from(["labels", "singletons", "whole"]))
@@ -131,31 +144,32 @@ def partitioned_tables(draw):
     return table, [np.flatnonzero(labels == c) for c in order]
 
 
-def assert_kernel_matches_loop(table, groups):
+def assert_kernel_is_exact(table, groups):
     ctx = TableEmd(table)
-    fast, bound = ctx.partition_emds(groups)
-    exact = np.array([ctx.cluster_emd(g) for g in groups])
-    assert np.all(np.abs(fast - exact) <= bound)
+    emds = ctx.partition_emds(groups)
+    single = np.array([ctx.cluster_emd(g) for g in groups])
+    assert emds.tobytes() == single.tobytes()
     conf = table.confidential_column()
+    assert emds.tolist() == [exact_emd(conf, g) for g in groups]
     whole = distribution_of(conf, ctx.support)
     ordered = [emd_ordered(distribution_of(conf[g], ctx.support), whole) for g in groups]
-    assert np.all(np.abs(fast - ordered) <= bound)
-    worst = int(np.argmax(exact))
-    assert ctx.max_cluster_emd(groups) == (exact[worst], worst)
+    assert emds == pytest.approx(ordered, abs=1e-12)
+    worst = int(np.argmax(emds))
+    assert ctx.max_cluster_emd(groups) == (emds[worst], worst)
 
 
 class TestPartitionEmds:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(partitioned_tables())
-    def test_within_bound_of_loop_and_refined_max_is_exact(self, case):
-        assert_kernel_matches_loop(*case)
+    def test_equals_cluster_emd_and_integer_oracle(self, case):
+        assert_kernel_is_exact(*case)
 
     @pytest.mark.parametrize("n, m, clusters", [(3000, 3000, 60), (3000, 40, 300), (4000, 1, 7)])
     def test_large_support_and_mixed_cluster_sizes(self, n, m, clusters):
         rng = np.random.default_rng(n + m)
         table = make_1d_table(np.zeros(n), rng.integers(0, m, size=n).astype(float))
         cuts = np.sort(rng.choice(np.arange(1, n), size=clusters - 1, replace=False))
-        assert_kernel_matches_loop(table, np.split(rng.permutation(n), cuts))
+        assert_kernel_is_exact(table, np.split(rng.permutation(n), cuts))
 
     def test_exact_ties_take_the_lowest_index(self):
         # the singletons of the lowest value, records 2 and 4, tie for the
@@ -168,13 +182,27 @@ class TestPartitionEmds:
     def test_whole_table_is_exactly_zero(self):
         t = synth_generate(SynthConfig(n=500, qi_count=2, target_correlation=0.52, seed=4))
         ctx = TableEmd(t)
-        fast, bound = ctx.partition_emds([np.arange(500)])
-        assert abs(fast[0]) <= bound[0]
+        assert emd_numerator(t.confidential_column(), np.arange(500)) == 0
+        assert ctx.partition_emds([np.arange(500)]).tolist() == [0.0]
         assert ctx.max_cluster_emd([np.arange(500)]) == (0.0, 0)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             TableEmd(make_ranks_table(4)).partition_emds([np.arange(4), np.array([], dtype=int)])
+
+
+class TestInt64Range:
+    def test_rejects_a_table_at_the_limit(self, monkeypatch):
+        # n * n * m = 125 for five distinct values; the real limit is 2**63
+        table = make_ranks_table(5)
+        monkeypatch.setattr(emd, "_INT64_RANGE", 126)
+        assert TableEmd(table).cluster_emd([0, 1]) == pytest.approx(0.375, abs=1e-15)
+        monkeypatch.setattr(emd, "_INT64_RANGE", 125)
+        with pytest.raises(ValueError, match=r"n=5 records over m=5 .* n \* n \* m < 2\*\*63"):
+            TableEmd(table)
+
+    def test_limit_is_the_int64_range(self):
+        assert emd._INT64_RANGE == int(np.iinfo(np.int64).max) + 1
 
 
 class TestMinBound:

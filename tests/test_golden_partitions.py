@@ -228,7 +228,7 @@ GOLDEN = {
     "tfirst/dup-rows/k2/t0.2": "39c606d60d6c1a37ccd9c19cefe8b80231d96d4a54f413130840d0483df0a68c",
     "mdav/dup-rows/k5": "acb949ddb6113736db8ab60d32f66e6040f3d4fa6b0a6380ef1d32e14581d31b",
     "merge/dup-rows/k5/t0.05": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
-    "kfirst/dup-rows/k5/t0.05": "be78868927aa56155a65d0f86ab8b820b7bc83b611910684bbe850dca14498de",
+    "kfirst/dup-rows/k5/t0.05": "b0217e8bdd6b60c634bd9d217fc6fb3477e168594c0e0ed1f6eac138652426ac",
     "tfirst/dup-rows/k5/t0.05": "a84c0dcfd08ad057ceb4cba121dbf837dd6e1d759a3c1118074cb2b9c5c41b24",
     "merge/dup-rows/k5/t0.2": "9a9468a1a1f301b05b35f09ae7fc1c45ed7069410223670c1cebf221365e665b",
     "kfirst/dup-rows/k5/t0.2": "e4c35f914ed80654144622685db8a3a40f8435ee0c0ef5265f21c8abc2292c5a",
@@ -264,7 +264,7 @@ GOLDEN = {
     "tfirst/synth9-s1-n300/k2/t0.2": "1121b8fef75979ca2fcf809df66acc70764fbae911b444753b18a9a6222b0e78",
     "mdav/synth9-s1-n300/k5": "ec9bdcc730b67b58ac0aa5009a539241e6f4091891bed4de8527c0c7aa23bdd0",
     "merge/synth9-s1-n300/k5/t0.05": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
-    "kfirst/synth9-s1-n300/k5/t0.05": "229eeeb0763a57e506826f26220ff7bebdb5abbc32099d388e5e5366365168ee",
+    "kfirst/synth9-s1-n300/k5/t0.05": "414061e0d990916eb206db38e7253326c3263402554392dcfc3887f53c6c9a2a",
     "tfirst/synth9-s1-n300/k5/t0.05": "a32445c441a324c94f9b2a865ff21c231257b7182e8013def95e057faf3e629b",
     "merge/synth9-s1-n300/k5/t0.2": "3e5d0eab739e6e15852b031a40b82e012bba7f92229c3b99cee6e29dae73d2c8",
     "kfirst/synth9-s1-n300/k5/t0.2": "0abb25b709174f5bd6446356179ea8e10b1d624dcefa1d69f3cddedc9e3b2907",

@@ -6,6 +6,7 @@ from tcmicro import (
     Partition,
     SynthConfig,
     TableEmd,
+    kfirst_partition,
     mdav_partition,
     merge_until_tclose,
     minmax_params,
@@ -14,6 +15,7 @@ from tcmicro import (
     verify_t_closeness,
     run_merge_algorithm,
 )
+from test_golden_partitions import tables as golden_tables
 from util import make_ranks_table
 
 
@@ -61,6 +63,32 @@ class TestMergeUntilTclose:
         for tau in (0.05, 0.1, 0.2):
             out = merge(t, part, tau)
             assert verify_t_closeness(t, out, tau).ok
+
+    @pytest.mark.parametrize("name, top, tied, first_pair", [
+        ("dup-rows", 1 / 14, [4, 5, 6, 7, 8, 9, 10, 11], [4, 6]),
+        ("synth9-s1-n300", 59 / 598, [58, 59], [13, 58]),
+    ], ids=["dup-rows", "synth9-s1-n300"])
+    def test_equal_emd_tie_merges_the_lowest_slot_first(self, name, top, tied, first_pair):
+        # kfirst's partitions of two golden tables at k=5, t=0.05 start the
+        # merge pass with several clusters at the same exact maximal EMD;
+        # the first merge takes the lowest of them
+        table = golden_tables()[name]
+        params = minmax_params(table)
+        part = kfirst_partition(table, 5, 0.05, params, TableEmd(table))
+        groups = [c.members for c in part.clusters]
+        emds = TableEmd(table).partition_emds(groups)
+        assert emds.max() == top
+        assert np.flatnonzero(emds == top).tolist() == tied
+
+        merged = []
+
+        class RecordingEmd(TableEmd):
+            def cluster_emd(self, members):
+                merged.append(set(np.asarray(members).tolist()))
+                return super().cluster_emd(members)
+
+        merge_until_tclose(table, part, 0.05, params, RecordingEmd(table))
+        assert [i for i, g in enumerate(groups) if merged[0] >= set(g.tolist())] == first_pair
 
 
 class TestRunMerge:
