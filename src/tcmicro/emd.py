@@ -43,7 +43,6 @@ class TableEmd:
                 f"table too large for the exact EMD: n={self.n} records over m={self.m} "
                 "distinct confidential values need n * n * m < 2**63"
             )
-        self.table_mass = counts / table.n
         # the table's cumulative counts B and their prefix sums
         # SB[j] = B[0] + ... + B[j-1]
         self._b = np.cumsum(counts)

@@ -17,69 +17,77 @@ from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
 
 
 class _SwapEmd:
-    """Cluster-vs-table EMD of a cluster under single-record swaps.
+    """Exact EMD numerator of a cluster under single-record swaps.
 
-    Keeps the cumulative mass-difference vector cum of the current cluster
-    and, in the three rows of prefix, the prefix sums of |cum|, |cum + 1/c|
-    and |cum - 1/c|, each starting at 0. Replacing a member of rank a by a
-    candidate of rank b shifts cum by -1/c on [a, b) (a < b) or +1/c on
-    [b, a) (a > b), so the summed EMD after the swap is an interval query on
-    prefix, for a whole block of candidates x members at once.
+    For a cluster of s of the table's n records, keeps c_j = n A_j - s B_j
+    (TableEmd's cumulative counts, see there), D = sum of |c_j| and, in the
+    two rows of prefix, the prefix sums of |c_j - n| - |c_j| and
+    |c_j + n| - |c_j|, each starting at 0, all in int64. Replacing a member
+    of rank a by a candidate of rank b lowers A by 1 on [a, b) (a < b) or
+    raises it by 1 on [b, a) (a > b), so the exact change in D is
+    prefix[0, b] - prefix[0, a] or prefix[1, a] - prefix[1, b], for a whole
+    block of candidates x members at once.
     """
 
     def __init__(self, ctx: TableEmd, members: np.ndarray):
         self.ctx = ctx
         self.members = np.array(members, dtype=np.int64)
         self.ranks = ctx.ranks[self.members]
-        self.size = self.members.size
-        self.counts = np.bincount(self.ranks, minlength=ctx.m).astype(np.float64)
-        self._cum = np.empty(ctx.m)
-        self.prefix = np.zeros((3, ctx.m + 1))
-        self._rebuild(0)
+        self.size = s = self.members.size
+        a = np.cumsum(np.bincount(self.ranks, minlength=ctx.m))
+        self._c = ctx.n * a - s * ctx._b
+        self.d = np.abs(self._c).sum()
+        self.prefix = np.zeros((2, ctx.m + 1), dtype=np.int64)
+        self._fill(0, ctx.m)
+        self._set_emd()
 
-    def _rebuild(self, lo: int):
-        """Recompute cum and prefix from rank lo on. Both are sequential left
-        folds seeded with the kept entry before lo, so the result is bit for
-        bit that of a rebuild from rank 0."""
-        cum, prefix = self._cum, self.prefix
-        tail = self.counts[lo:] / self.size - self.ctx.table_mass[lo:]
-        if lo:
-            tail[0] += cum[lo - 1]
-        np.cumsum(tail, out=tail)
-        cum[lo:] = tail
-        shift = 1.0 / self.size
-        np.abs(tail, out=prefix[0, lo + 1 :])
-        np.abs(tail + shift, out=prefix[1, lo + 1 :])
-        np.abs(tail - shift, out=prefix[2, lo + 1 :])
-        np.cumsum(prefix[:, lo:], axis=1, out=prefix[:, lo:])
-        self.total = prefix[0, -1]
-        self.emd = 0.0 if self.ctx.m == 1 else float(self.total / (self.ctx.m - 1))
+    def _fill(self, lo: int, hi: int):
+        """Recompute prefix[:, lo + 1 : hi + 1] from c[lo:hi], keeping
+        prefix[:, lo]; |c - n| - |c| = clip(n - 2c, -n, n) and
+        |c + n| - |c| = clip(n + 2c, -n, n)."""
+        n, prefix = self.ctx.n, self.prefix
+        terms = np.multiply.outer((-2, 2), self._c[lo:hi])
+        terms += n
+        np.minimum(terms, n, out=terms)
+        np.maximum(terms, -n, out=terms)
+        terms[:, 0] += prefix[:, lo]
+        np.cumsum(terms, axis=1, out=prefix[:, lo + 1 : hi + 1])
+
+    def _set_emd(self):
+        self.emd = 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
 
     def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int]:
         """(j, pos) for the first candidate j whose best swap strictly lowers
-        the EMD, pos being the earliest member position attaining that best;
+        D, pos being the earliest member position attaining that best;
         (-1, -1) when no candidate improves. A candidate sharing a member's
-        rank scores exactly the current sum, so equal-EMD swaps are never
-        taken."""
+        rank changes D by exactly 0, so equal-EMD swaps are never taken."""
         a = self.ranks
         b = candidate_ranks[:, None]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        col = np.where(a < b, 2, 1)
-        prefix, total = self.prefix, self.total
-        sums = total - (prefix[0, hi] - prefix[0, lo]) + (prefix[col, hi] - prefix[col, lo])
-        hits = np.flatnonzero(sums.min(axis=1) < total)
-        if not hits.size:
+        down, up = self.prefix
+        deltas = np.where(b > a, down[b] - down[a], up[a] - up[b])
+        hits = np.minimum.reduce(deltas, axis=1) < 0
+        j = int(hits.argmax())
+        if not hits[j]:
             return -1, -1
-        j = int(hits[0])
-        return j, int(np.argmin(sums[j]))
+        return j, int(deltas[j].argmin())
 
     def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
+        """Replace the member at pos by the candidate. c moves by n on the
+        ranks [lo, hi) between the two, so prefix is recomputed on (lo, hi]
+        and every entry after hi moves by one constant, its change at hi."""
         old_rank = int(self.ranks[pos])
-        self.counts[old_rank] -= 1.0
-        self.counts[candidate_rank] += 1.0
+        if old_rank != candidate_rank:
+            lo, hi = sorted((old_rank, candidate_rank))
+            row = 0 if candidate_rank > old_rank else 1
+            prefix = self.prefix
+            self.d += prefix[row, hi] - prefix[row, lo]
+            end = prefix[:, hi].copy()
+            self._c[lo:hi] += self.ctx.n if row else -self.ctx.n
+            self._fill(lo, hi)
+            prefix[:, hi + 1 :] += (prefix[:, hi] - end)[:, None]
+            self._set_emd()
         self.members[pos] = candidate
         self.ranks[pos] = candidate_rank
-        self._rebuild(min(old_rank, candidate_rank))
 
 
 # candidates scored per block: _FIRST_BLOCK after each accepted swap, doubled
@@ -99,9 +107,9 @@ def generate_cluster(
     as the seed plus its k-1 QI-nearest candidates (rows of the normalized QI
     matrix x); then candidates are consumed in order of QI distance to the
     seed, each swapped against the member whose replacement most reduces the
-    cluster-vs-table EMD, accepting strict improvements only, until the EMD
-    reaches tau or candidates run out. The candidate array is not mutated;
-    the sorted members are returned.
+    cluster-vs-table EMD, accepting only swaps that lower its exact integer
+    numerator, until the EMD reaches tau or candidates run out. The candidate
+    array is not mutated; the sorted members are returned.
     """
     if candidates.size < 2 * k:
         return np.sort(candidates)

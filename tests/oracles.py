@@ -2,9 +2,10 @@
 distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the integer EMD numerator summed over every
 rank, the closed-form upper bound for clusters built one record per subset,
-the one-candidate-at-a-time kfirst swap loop, the list-based merge loop, the
-np.unique k-anonymity check, and the row-at-a-time CSV reader and writer that
-the package's array and block versions replaced."""
+the one-candidate-at-a-time kfirst swap loop on recounted integer numerators,
+the list-based merge loop, the np.unique k-anonymity check, and the
+row-at-a-time CSV reader and writer that the package's array and block
+versions replaced."""
 
 from __future__ import annotations
 
@@ -141,89 +142,44 @@ def max_emd_bound(n: int, k: int) -> float:
     return (n - k) / (2.0 * (n - 1) * k)
 
 
-class ScanSwapEmd:
-    """Incremental cluster-vs-table EMD under single-record swaps.
-
-    Keeps the cumulative mass-difference vector of the current cluster plus
-    prefix sums of |cum|, |cum + 1/c| and |cum - 1/c|, so that the EMD after
-    replacing one member by one candidate is a constant-time interval query:
-    swapping rank a for rank b shifts the cumulative vector by -1/c on [a, b)
-    (a < b) or +1/c on [b, a) (a > b).
-    """
-
-    def __init__(self, ctx: TableEmd, members: np.ndarray):
-        self.ctx = ctx
-        self.members = list(int(i) for i in members)
-        self.member_ranks = [int(ctx.ranks[i]) for i in members]
-        self.size = len(self.members)
-        self.counts = np.bincount(self.member_ranks, minlength=ctx.m).astype(np.float64)
-        self._rebuild()
-
-    def _rebuild(self):
-        ctx = self.ctx
-        if ctx.m == 1:
-            self.emd = 0.0
-            return
-        cum = np.cumsum(self.counts / self.size - ctx.table_mass)
-        shift = 1.0 / self.size
-        zero = np.zeros(1)
-        self._abs = np.concatenate([zero, np.cumsum(np.abs(cum))])
-        self._plus = np.concatenate([zero, np.cumsum(np.abs(cum + shift))])
-        self._minus = np.concatenate([zero, np.cumsum(np.abs(cum - shift))])
-        self._total = self._abs[-1]
-        self.emd = float(self._total / (ctx.m - 1))
-
-    def _swap_sum(self, a: int, b: int) -> float:
-        if a == b:
-            return self._total
-        if a < b:
-            return self._total - (self._abs[b] - self._abs[a]) + (self._minus[b] - self._minus[a])
-        return self._total - (self._abs[a] - self._abs[b]) + (self._plus[a] - self._plus[b])
-
-    def best_swap(self, candidate_rank: int) -> int:
-        """Member position whose replacement by the candidate minimizes the
-        EMD, or -1 when no strict improvement exists. Ties keep the earliest
-        member, so equal-EMD swaps are never taken."""
-        if self.ctx.m == 1:
-            return -1
-        best_pos = -1
-        best_sum = self._total
-        for pos, a in enumerate(self.member_ranks):
-            s = self._swap_sum(a, candidate_rank)
-            if s < best_sum:
-                best_sum = s
-                best_pos = pos
-        return best_pos
-
-    def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
-        old_rank = self.member_ranks[pos]
-        self.counts[old_rank] -= 1.0
-        self.counts[candidate_rank] += 1.0
-        self.members[pos] = candidate
-        self.member_ranks[pos] = candidate_rank
-        self._rebuild()
-
-
 def scan_generate_cluster(
     seed: int, candidates: np.ndarray, x: np.ndarray, ctx: TableEmd, k: int, tau: float
 ) -> np.ndarray:
-    """kfirst's cluster build scoring one candidate at a time against the
-    members in a Python loop."""
+    """kfirst's cluster build as the rule reads: candidates are taken one at
+    a time in order of QI distance to the seed, and each trial swap's EMD
+    numerator D is recounted from the trial cluster's per-rank counts over
+    every rank. A swap is taken when the smallest trial D is below the
+    current one, at the earliest member position attaining it. D is at most
+    n * n * m, so int64 holds it exactly, as Python integers would."""
     if candidates.size < 2 * k:
         return np.sort(candidates)
     others = candidates[candidates != seed]
     d = sq_distances(x[others].T, x[seed])
-    order = np.argsort(d, kind="stable")
-    ordered = others[order]
-    state = ScanSwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))
+    ordered = others[np.argsort(d, kind="stable")]
+    ranks, m = ctx.ranks, ctx.m
+    n = ranks.size
+    if n * n * m >= 2**63:
+        raise ValueError("table too large for an exact int64 recount")
+    b = np.cumsum(np.bincount(ranks, minlength=m))
+
+    def numerators(counts):
+        return np.abs(n * np.cumsum(counts, axis=-1) - k * b).sum(axis=-1)
+
+    members = np.concatenate([[seed], ordered[: k - 1]])
+    counts = np.bincount(ranks[members], minlength=m)
+    current = int(numerators(counts))
     for y in ordered[k - 1 :]:
-        if state.emd <= tau:
+        if m == 1 or current / (k * n * (m - 1)) <= tau:
             break
-        y_rank = int(ctx.ranks[y])
-        pos = state.best_swap(y_rank)
-        if pos >= 0:
-            state.apply_swap(pos, int(y), y_rank)
-    return np.sort(np.array(state.members, dtype=np.int64))
+        trials = np.tile(counts, (k, 1))
+        trials[np.arange(k), ranks[members]] -= 1
+        trials[:, ranks[y]] += 1
+        sums = numerators(trials).tolist()
+        best = min(sums)
+        if best < current:
+            pos = sums.index(best)
+            members[pos], counts, current = y, trials[pos], best
+    return np.sort(members)
 
 
 def list_merge_until_tclose(table, partition, tau, params, ctx):

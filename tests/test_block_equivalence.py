@@ -1,7 +1,8 @@
-"""The vectorised seeding, MDAV and tfirst builds, the block-scored kfirst
-swap search, the slot-array merge pass with its batched first check and the
-lexsort k-anonymity check against the code they replaced, kept here (or in
-oracles.py) as reference oracles.
+"""The vectorised seeding, MDAV and tfirst builds, the slot-array merge pass
+with its batched first check and the lexsort k-anonymity check against the
+code they replaced, and the block-scored kfirst swap search against its rule
+as written (one candidate at a time, every trial swap's integer EMD numerator
+recounted), kept here (or in oracles.py) as reference oracles.
 
 The squared-distance helper and the compacted anchor must match numpy's
 row-major reductions bit for bit, and the partitions must be identical,
@@ -264,6 +265,30 @@ def test_generate_cluster_on_a_pool_of_exactly_2k(case, tau, data):
     ctx = TableEmd(table)
     got = generate_cluster(seed, pool, x, ctx, k, tau)
     assert got.tolist() == scan_generate_cluster(seed, pool, x, ctx, k, tau).tolist()
+
+
+@st.composite
+def tied_tables(draw):
+    """Tables drawn from a few distinct rows, so records repeat whole (QIs
+    and confidential value) or share QIs over a few confidential values:
+    QI distances, EMDs and swap scores tie exactly."""
+    k = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2 * k, 40))
+    q = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, 8))
+    values = draw(st.integers(1, 5))
+    rows = rng.integers(0, 3, (distinct, q + 1))[rng.integers(0, distinct, n)]
+    conf = rows[:, q] % values if draw(st.booleans()) else rng.integers(0, values, n)
+    return make_table(rows[:, :q].astype(float), conf.astype(float)), k
+
+
+@SETTINGS
+@given(tied_tables(), st.sampled_from(TAUS))
+def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
+    table, k = case
+    got = kfirst_groups(table, k, tau, generate_cluster)
+    assert_same_groups(got, kfirst_groups(table, k, tau, scan_generate_cluster))
 
 
 @pytest.mark.parametrize(

@@ -131,14 +131,14 @@ GOLDEN = {
     "tfirst/synth-s1-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
     "mdav/synth-s1-n300/k2": "6f04d8d0e1946ea7213f36105a03e7a4b5216ed2c10bf3e5cb029ffcf7d618e5",
     "merge/synth-s1-n300/k2/t0.05": "5886ceb059b19ef90a6ac8a0c5da4fd2677d0ba32888d55742e4e7e33479bce4",
-    "kfirst/synth-s1-n300/k2/t0.05": "7dd9409a407922ff26af8b0e147c9387675786f1f02a65f25af46690b449f19e",
+    "kfirst/synth-s1-n300/k2/t0.05": "9afb3ef31159aa195b3669a0ff77377d34bc3b6698fb2bd9e3e0bc82b88c8bcc",
     "tfirst/synth-s1-n300/k2/t0.05": "5d6f113e5549d2264554078f5b97dfd50ac923678967cab72d60f25abba201e1",
     "merge/synth-s1-n300/k2/t0.2": "980138e4eccc6652e125c5b3a3a229d60f3e579e3f3474f9b37dec0c0b9e09f5",
-    "kfirst/synth-s1-n300/k2/t0.2": "dd344bf5547504fa0088a6d40e570ee645e8ebc8fde74c8480fef2cf8bca4504",
+    "kfirst/synth-s1-n300/k2/t0.2": "49d6ccfbdadbbb1b9b9d831725eaf8f966a8257913370878156081f5fffcc49f",
     "tfirst/synth-s1-n300/k2/t0.2": "ace8ba9aadb68f26b27a730b0d6423ba1ffc42beb58c124f0496e56d9b27a076",
     "mdav/synth-s1-n300/k5": "851f5bfb767dfd98c4e12920a3c98e1aa758bebbe96f1791e83330984aea35f0",
     "merge/synth-s1-n300/k5/t0.05": "b790c5cb0de1b9f8773d993c99fe4fe5e8b93f7d7ea6c63067f838c03a746ec3",
-    "kfirst/synth-s1-n300/k5/t0.05": "9f486e9fb25f1ff04055e64e15c169a4da755ccc2642f33af17d4205941a4747",
+    "kfirst/synth-s1-n300/k5/t0.05": "b7a6e5c565d5449c42457a076fb98bc9252c2e884f06dddc19f3c5f289bc9f26",
     "tfirst/synth-s1-n300/k5/t0.05": "5d6f113e5549d2264554078f5b97dfd50ac923678967cab72d60f25abba201e1",
     "merge/synth-s1-n300/k5/t0.2": "d375b3cb7ac259a925bd43bab658418df8d319718c9639cf1e9d51d9694eb2ce",
     "kfirst/synth-s1-n300/k5/t0.2": "54dd8a6c000b3966f931873fc89f4704e9d1045f9de6972befc42081bc35fa4d",
@@ -167,14 +167,14 @@ GOLDEN = {
     "tfirst/synth-s2-n37/k37/t0.2": "195dbccba93fd272f6170e628e1be3ba70fcc32291f92571b03e129f07051063",
     "mdav/synth-s2-n300/k2": "18034bb18413b66fb2db29f319d83f79ceacb233656461fab26d3335d4520d3c",
     "merge/synth-s2-n300/k2/t0.05": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
-    "kfirst/synth-s2-n300/k2/t0.05": "78b6266ac07927df790631912674e2b7cdac1c3e8a5cde0b37e3baadc33352f1",
+    "kfirst/synth-s2-n300/k2/t0.05": "e739798bfaab15461347e592c07cdfd2a103b4c127f50d9f0f63e2af486c274f",
     "tfirst/synth-s2-n300/k2/t0.05": "f01f2cbd1344b494c67646a03d8eec4993a7f3673a8f16d354f438a3bf530751",
     "merge/synth-s2-n300/k2/t0.2": "f6147376d84242e5469e6839691ed93b312d5cb2bedc29be3c5fdc28d352efc7",
-    "kfirst/synth-s2-n300/k2/t0.2": "a6e35c39884b24acd3d2b014b3a07669e848b8c3e41684bfd90f277f31945abb",
+    "kfirst/synth-s2-n300/k2/t0.2": "0df0eb1a79004434f56841ae8c02c50db701160c3aa9428743ff6daae6c47c8c",
     "tfirst/synth-s2-n300/k2/t0.2": "ea1b22af82bb7dd333583d47b6fb4159f3cdfbd2d1d946c6bf1a05528c7b8ab8",
     "mdav/synth-s2-n300/k5": "809dbaa46f24ac12571facf61434b4f5687cb00350f05e56ed8d51469ace10eb",
     "merge/synth-s2-n300/k5/t0.05": "94e38dd24dc0075ba0505d1077c6faa370f9295f0c1ae46db4d18597399911e1",
-    "kfirst/synth-s2-n300/k5/t0.05": "5235d881496b173f2164ab131f6fec54525e2d473fb5191ea364173cd8848bcc",
+    "kfirst/synth-s2-n300/k5/t0.05": "fd3a433d165543d803085d1835f6aad4feec8dd4016b13085a0088ff6b5218ad",
     "tfirst/synth-s2-n300/k5/t0.05": "f01f2cbd1344b494c67646a03d8eec4993a7f3673a8f16d354f438a3bf530751",
     "merge/synth-s2-n300/k5/t0.2": "4df11316135f1de4b8b65104ae871ffc3bd50ceb582eeac42398ff43267bd361",
     "kfirst/synth-s2-n300/k5/t0.2": "03e7c1fc9604b9cf235bda7bcb9222da7631c8077c874af313da954dc26ece99",
@@ -210,7 +210,7 @@ GOLDEN = {
     "tfirst/const-qi/k2/t0.2": "a8ee612381afacbbe7fdf90999f57429da37221c3cf6e6d77591611b0c53885d",
     "mdav/const-qi/k5": "4174e09d46ff5ccd3ebfd4bb5c52894e2aa1ed0527d88624d2186c0ac38a0043",
     "merge/const-qi/k5/t0.05": "3a9483ff13a4227d40538189b9dfb35f71b2ad630cb458d56cfdc6bf11d69640",
-    "kfirst/const-qi/k5/t0.05": "6f8b7cdd02e53c5d59f918a6444b2904871658110eb4549d7e0fd485a65613c7",
+    "kfirst/const-qi/k5/t0.05": "ae002ad7ff87195f554e3e51da18b86a389742becc59493280f2028b4974b457",
     "tfirst/const-qi/k5/t0.05": "c7d145c626cb4a7d50d877e9085c3a5f472c8600afea290f665c7cc750d52d16",
     "merge/const-qi/k5/t0.2": "53ed34924511554f30a32bbcacae39a67421cfec521505d72d10071d84f63e48",
     "kfirst/const-qi/k5/t0.2": "481e223ca45bd26511495da6628768105e3bd3c15513d3de920a5c22ac66b1f5",
@@ -228,7 +228,7 @@ GOLDEN = {
     "tfirst/dup-rows/k2/t0.2": "39c606d60d6c1a37ccd9c19cefe8b80231d96d4a54f413130840d0483df0a68c",
     "mdav/dup-rows/k5": "acb949ddb6113736db8ab60d32f66e6040f3d4fa6b0a6380ef1d32e14581d31b",
     "merge/dup-rows/k5/t0.05": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
-    "kfirst/dup-rows/k5/t0.05": "b0217e8bdd6b60c634bd9d217fc6fb3477e168594c0e0ed1f6eac138652426ac",
+    "kfirst/dup-rows/k5/t0.05": "be78868927aa56155a65d0f86ab8b820b7bc83b611910684bbe850dca14498de",
     "tfirst/dup-rows/k5/t0.05": "a84c0dcfd08ad057ceb4cba121dbf837dd6e1d759a3c1118074cb2b9c5c41b24",
     "merge/dup-rows/k5/t0.2": "9a9468a1a1f301b05b35f09ae7fc1c45ed7069410223670c1cebf221365e665b",
     "kfirst/dup-rows/k5/t0.2": "e4c35f914ed80654144622685db8a3a40f8435ee0c0ef5265f21c8abc2292c5a",
@@ -246,7 +246,7 @@ GOLDEN = {
     "tfirst/ties9/k2/t0.2": "efb851935bd9f0ccf6d3ff31dd96a62ed8b6c74d4faf07f617f12993cd34765f",
     "mdav/ties9/k5": "53b585bf5d03ca030c023b30d257e74c7615db9c1517a43b1f7431ee5c5c107c",
     "merge/ties9/k5/t0.05": "2b21df54c7b3db395d890294aac0507091aed47e1922345f20a3a653dc39093c",
-    "kfirst/ties9/k5/t0.05": "2baeff800f119126f72e34a2848f0fc03cd0d19e7f0e83f8b80994b5c00ac0ef",
+    "kfirst/ties9/k5/t0.05": "2921d6090fcca83075a5cc7951780352213b5ab4f09f6e2a1500dec5ba110619",
     "tfirst/ties9/k5/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
     "merge/ties9/k5/t0.2": "2d8740f0b40de57a4f2dd1f81fe98809bcb7c840f4ee78e0084b281be64f7e91",
     "kfirst/ties9/k5/t0.2": "1527fcff58799fff50a67848fded9949fc4c71f168b6c04cdf6b671a16a9aef3",
@@ -257,14 +257,14 @@ GOLDEN = {
     "tfirst/ties9/k70/t0.2": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
     "mdav/synth9-s1-n300/k2": "1e43dd5003da09fc127b912236f8136a6c6b54ebf477fdd62e462404dff2dcdd",
     "merge/synth9-s1-n300/k2/t0.05": "f32620bf450a88b1e7054970b3b41c60b81302618d180b888615743e5ca76c42",
-    "kfirst/synth9-s1-n300/k2/t0.05": "61bca3714b785a5b35842649b086ecf2b52ae69ea2b04ee543c5d6fb23c732fe",
+    "kfirst/synth9-s1-n300/k2/t0.05": "2bda77d1564350a67c1b559617584fc817d1fcd5fdd094f628fa8dfc67eff002",
     "tfirst/synth9-s1-n300/k2/t0.05": "a32445c441a324c94f9b2a865ff21c231257b7182e8013def95e057faf3e629b",
     "merge/synth9-s1-n300/k2/t0.2": "4a4a7634b974b04d7198fc128a3a7894ffd941f14f6ebe343457a3fc0217e479",
-    "kfirst/synth9-s1-n300/k2/t0.2": "ee771e09583c8ded90fee216c8876ba357b0ac9abf078380a9be187e9085c0dc",
+    "kfirst/synth9-s1-n300/k2/t0.2": "dada5d7d8d3b36b0956d5725bfc5d36158a0c5a3554bd862e7c0ad152044bcdc",
     "tfirst/synth9-s1-n300/k2/t0.2": "1121b8fef75979ca2fcf809df66acc70764fbae911b444753b18a9a6222b0e78",
     "mdav/synth9-s1-n300/k5": "ec9bdcc730b67b58ac0aa5009a539241e6f4091891bed4de8527c0c7aa23bdd0",
     "merge/synth9-s1-n300/k5/t0.05": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
-    "kfirst/synth9-s1-n300/k5/t0.05": "414061e0d990916eb206db38e7253326c3263402554392dcfc3887f53c6c9a2a",
+    "kfirst/synth9-s1-n300/k5/t0.05": "103ae5181a7e914d4ac712f0114ab64c5cfc305619ac2d40202788f6b492aa04",
     "tfirst/synth9-s1-n300/k5/t0.05": "a32445c441a324c94f9b2a865ff21c231257b7182e8013def95e057faf3e629b",
     "merge/synth9-s1-n300/k5/t0.2": "3e5d0eab739e6e15852b031a40b82e012bba7f92229c3b99cee6e29dae73d2c8",
     "kfirst/synth9-s1-n300/k5/t0.2": "0abb25b709174f5bd6446356179ea8e10b1d624dcefa1d69f3cddedc9e3b2907",

@@ -14,8 +14,9 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
+import tcmicro.kfirst as kfirst
 from tcmicro.kfirst import _SwapEmd
-from oracles import max_emd_bound
+from oracles import emd_numerator, max_emd_bound, scan_generate_cluster
 from util import make_1d_table, make_ranks_table
 
 
@@ -63,13 +64,25 @@ class TestGenerateCluster:
         generate(0, pool, t, 2, 0.05)
         assert np.array_equal(pool, before)
 
-    def test_swaps_never_increase_emd(self):
+    def test_swaps_never_increase_emd(self, monkeypatch):
+        # each accepted swap strictly lowers the exact numerator D
+        accepted = []
+
+        class RecordingSwapEmd(_SwapEmd):
+            def apply_swap(self, pos, candidate, candidate_rank):
+                before = self.members.tolist()
+                super().apply_swap(pos, candidate, candidate_rank)
+                accepted.append((before, self.members.tolist()))
+
+        monkeypatch.setattr(kfirst, "_SwapEmd", RecordingSwapEmd)
         t = small_table(60, 8)
-        pool = np.arange(60)
+        conf = t.confidential_column()
         for seed_rec, tau in [(0, 0.05), (17, 0.02), (41, 0.1)]:
-            refined = generate(seed_rec, pool, t, 4, tau)
-            baseline = generate(seed_rec, pool, t, 4, 10.0)  # no swaps
-            assert emd(t, refined) <= emd(t, baseline) + 1e-12
+            accepted.clear()
+            generate(seed_rec, np.arange(60), t, 4, tau)
+            assert accepted
+            for before, after in accepted:
+                assert emd_numerator(conf, after) < emd_numerator(conf, before)
 
     def test_incremental_emd_matches_recomputation(self):
         # duplicate confidential values included, so several records share a
@@ -77,6 +90,7 @@ class TestGenerateCluster:
         rng = np.random.default_rng(55)
         t = make_1d_table(rng.uniform(0, 1, 40), rng.integers(0, 9, 40))
         ctx = TableEmd(t)
+        conf = t.confidential_column()
         members = rng.choice(40, size=6, replace=False)
         state = _SwapEmd(ctx, members)
         outside = [i for i in range(40) if i not in members]
@@ -87,11 +101,13 @@ class TestGenerateCluster:
             if j >= 0:
                 state.apply_swap(pos, candidate, rank)
                 swaps += 1
-            fresh = ctx.cluster_emd(state.members)
-            assert state.emd == pytest.approx(fresh, abs=1e-12)
+            assert state.d == emd_numerator(conf, state.members)
+            assert state.emd == ctx.cluster_emd(state.members)
         assert swaps > 0
 
-    def test_tail_rebuild_matches_full_rebuild_bit_for_bit(self):
+    def test_incremental_state_matches_fresh_state(self):
+        # arbitrary swaps, improving or not, each rank interval recomputed
+        # and the tail shifted
         rng = np.random.default_rng(56)
         n = 300
         t = make_1d_table(rng.uniform(0, 1, n), rng.integers(0, 120, n))
@@ -102,9 +118,25 @@ class TestGenerateCluster:
                 continue
             pos = int(rng.integers(0, state.size))
             state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
-            full = _SwapEmd(ctx, state.members)
-            assert state.prefix.tobytes() == full.prefix.tobytes()
-            assert state.emd == full.emd
+            fresh = _SwapEmd(ctx, state.members)
+            assert np.array_equal(state.prefix, fresh.prefix)
+            assert state.d == fresh.d
+            assert state.emd == fresh.emd
+
+    def test_refuses_a_zero_gain_swap(self):
+        # a float scorer read this cluster's EMD as 0.09523809523809525, one
+        # ulp above 2/21, and swapped record 0 in for the seed 5 although
+        # both clusters have D = 16; it returned (0, 4, 6)
+        t = make_1d_table([2, 5, 0, 3, 4, 7, 6, 1], [3, 2, 5, 7, 1, 4, 6, 0])
+        ctx = TableEmd(t)
+        conf = t.confidential_column()
+        assert emd_numerator(conf, [5, 6, 4]) == emd_numerator(conf, [0, 6, 4]) == 16
+        state = _SwapEmd(ctx, np.array([5, 6, 4]))
+        assert state.first_swap(ctx.ranks[[0]]) == (-1, -1)
+        got = generate(5, np.arange(8), t, 3, 0.0)
+        x = normalized_qi(t, minmax_params(t))
+        want = scan_generate_cluster(5, np.arange(8), x, ctx, 3, 0.0)
+        assert got.tolist() == want.tolist() == [4, 5, 6]
 
     def test_matches_naive_reference(self):
         # direct transcription of the swap rules, recomputing every EMD

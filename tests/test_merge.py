@@ -6,7 +6,6 @@ from tcmicro import (
     Partition,
     SynthConfig,
     TableEmd,
-    kfirst_partition,
     mdav_partition,
     merge_until_tclose,
     minmax_params,
@@ -17,6 +16,37 @@ from tcmicro import (
 )
 from test_golden_partitions import tables as golden_tables
 from util import make_ranks_table
+
+
+# kfirst's partitions of two golden tables at k=5, t=0.05, stored as each
+# record's cluster slot, as an earlier float swap scorer built them; the
+# merge pass starts from several clusters at the same exact maximal EMD
+TIED_PARTITIONS = {
+    "dup-rows": """
+        0 10 4 8 0 4 4 9 0 8 5 9 0 1 8 2 5 5 9 1 6 5 4 1 9 7 11 1 3 10 1 11 6 10
+        2 7 7 6 2 11 6 10 3 2 11 3 7 7 11 3 5 6 8 3 10 4 8 2 0 9
+""",
+    "synth9-s1-n300": """
+        16 9 26 33 2 53 4 6 2 13 34 12 5 40 37 24 8 47 4 43 13 5 25 8 6 33 32 21
+        51 16 38 3 19 0 58 32 43 48 37 26 18 43 7 29 17 12 46 27 41 16 7 22 50
+        20 25 18 17 1 30 29 47 23 40 30 30 1 31 45 10 8 41 49 52 20 31 53 9 13
+        34 2 24 33 18 40 27 48 50 8 29 50 31 17 57 17 39 56 48 53 2 21 19 55 58
+        26 35 23 34 9 36 46 57 8 14 39 54 35 1 22 35 15 45 51 48 22 41 53 51 26
+        32 59 52 42 11 31 35 15 51 34 7 9 0 57 4 55 51 16 17 44 33 3 11 55 4 41
+        49 11 52 12 12 21 25 10 38 47 10 59 9 45 15 6 42 19 7 42 24 38 59 39 32
+        52 10 50 22 26 5 35 28 55 37 32 41 23 57 36 5 56 36 18 52 36 30 37 54 46
+        53 38 20 34 46 30 49 46 47 31 45 23 58 24 13 58 20 57 21 23 48 47 49 22
+        19 38 10 6 42 42 18 56 43 3 28 49 1 33 27 39 0 28 44 16 6 29 25 44 15 58
+        27 0 7 14 11 28 43 27 54 44 14 29 5 14 59 1 4 12 40 11 15 54 3 2 24 14
+        19 21 13 3 59 54 40 44 37 0 55 56 25 45 56 28 39 36 50 20
+""",
+}
+
+
+def stored_partition(name: str) -> Partition:
+    labels = np.array(TIED_PARTITIONS[name].split(), dtype=np.int64)
+    clusters = tuple(Cluster(np.flatnonzero(labels == i)) for i in range(labels.max() + 1))
+    return Partition(clusters, labels.size)
 
 
 def small_table(n=120, seed=2):
@@ -69,12 +99,10 @@ class TestMergeUntilTclose:
         ("synth9-s1-n300", 59 / 598, [58, 59], [13, 58]),
     ], ids=["dup-rows", "synth9-s1-n300"])
     def test_equal_emd_tie_merges_the_lowest_slot_first(self, name, top, tied, first_pair):
-        # kfirst's partitions of two golden tables at k=5, t=0.05 start the
-        # merge pass with several clusters at the same exact maximal EMD;
-        # the first merge takes the lowest of them
+        # the first merge takes the lowest of the tied clusters
         table = golden_tables()[name]
         params = minmax_params(table)
-        part = kfirst_partition(table, 5, 0.05, params, TableEmd(table))
+        part = stored_partition(name)
         groups = [c.members for c in part.clusters]
         emds = TableEmd(table).partition_emds(groups)
         assert emds.max() == top
