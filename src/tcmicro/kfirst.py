@@ -13,7 +13,7 @@ from .emd import TableEmd, check_params
 from .merge import release
 from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
 from .metrics import RunReport
-from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
+from .microagg import Partition, normalized_qi, seeded_partition
 
 
 class _SwapEmd:
@@ -99,24 +99,22 @@ _MAX_BLOCK_CELLS = 1 << 16
 
 
 def generate_cluster(
-    seed: int, candidates: np.ndarray, x: np.ndarray, ctx: TableEmd, k: int, tau: float
+    seed: int, candidates: np.ndarray, dist: np.ndarray, ctx: TableEmd, k: int, tau: float
 ) -> np.ndarray:
     """One cluster around a seed record, per the k-anonymity-first rules.
 
     Fewer than 2k candidates are returned whole. Otherwise the cluster starts
-    as the seed plus its k-1 QI-nearest candidates (rows of the normalized QI
-    matrix x); then candidates are consumed in order of QI distance to the
-    seed, each swapped against the member whose replacement most reduces the
+    as the seed plus its k-1 QI-nearest candidates (dist[i] is candidates[i]'s
+    squared QI distance to the seed); then candidates are consumed in that
+    order, each swapped against the member whose replacement most reduces the
     cluster-vs-table EMD, accepting only swaps that lower its exact integer
-    numerator, until the EMD reaches tau or candidates run out. The candidate
-    array is not mutated; the sorted members are returned.
+    numerator, until the EMD reaches tau or candidates run out. No argument
+    is mutated; the sorted members are returned.
     """
     if candidates.size < 2 * k:
         return np.sort(candidates)
-    others = candidates[candidates != seed]
-    d = sq_distances(x[others].T, x[seed])
-    order = np.argsort(d, kind="stable")
-    ordered = others[order]
+    others = candidates != seed
+    ordered = candidates[others][np.argsort(dist[others], kind="stable")]
     state = _SwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))
     rest = ordered[k - 1 :]
     rest_ranks = ctx.ranks[rest]
@@ -143,7 +141,7 @@ def kfirst_partition(
     t-close yet (see run_kfirst_algorithm)."""
     check_params(table.n, k, tau)
     x = normalized_qi(table, params)
-    return seeded_partition(x, lambda seed, pool, _: generate_cluster(seed, pool, x, ctx, k, tau))
+    return seeded_partition(x, lambda seed, pool, d: generate_cluster(seed, pool, d, ctx, k, tau))
 
 
 def run_kfirst_algorithm(

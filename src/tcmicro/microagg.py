@@ -120,26 +120,27 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
     Seeds alternate between the unassigned record farthest from the average of
     the unassigned records and the unassigned record farthest from the
     previous seed; ties break toward the lowest record index. For each seed,
-    build(seed, pool, cols) returns the members of its cluster, drawn from the
+    build(seed, pool, dist) returns the members of its cluster, drawn from the
     ascending array pool of unassigned records; they leave the pool, and
-    seeding continues until the pool is empty. cols is the attribute-major
-    copy of the pool's rows (cols[:, i] is x[pool[i]]) that the search runs
-    on, compacted after every cluster; build may read it but not change it.
+    seeding continues until the pool is empty. dist[i] is the squared
+    distance from the seed to x[pool[i]], computed once per seed; its entries
+    for the records left over give the next farthest-from-previous-seed pick,
+    so build may read it but not change it.
     """
-    alive = np.ones(x.shape[0], dtype=bool)
     pool = np.arange(x.shape[0])
     cols = np.ascontiguousarray(x.T)
     groups: list[np.ndarray] = []
-    prev = None
+    from_prev = None  # the previous seed's dist, when the next pick is farthest from it
     while pool.size:
-        anchor = _record_mean(cols) if prev is None else x[prev]
-        seed = int(pool[np.argmax(sq_distances(cols, anchor))])
-        members = build(seed, pool, cols)
-        alive[members] = False
+        far = sq_distances(cols, _record_mean(cols)) if from_prev is None else from_prev
+        seed = int(pool[np.argmax(far)])
+        dist = sq_distances(cols, x[seed])
+        members = build(seed, pool, dist)
         groups.append(members)
-        keep = alive[pool]
+        keep = np.ones(pool.size, dtype=bool)
+        keep[np.searchsorted(pool, members)] = False
         pool, cols = pool[keep], cols.compress(keep, axis=1)
-        prev = seed if prev is None else None
+        from_prev = dist[keep] if from_prev is None else None
     return partition_from_arrays(groups, x.shape[0])
 
 
@@ -162,14 +163,11 @@ def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partiti
     deterministic, and every cluster size lies in [k, 2k-1].
     """
     check_params(table.n, k)
-    x = normalized_qi(table, params)
 
-    def build(seed: int, pool: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        if pool.size < 2 * k:
-            return pool
-        return pool[_k_smallest(sq_distances(cols, x[seed]), k)]
+    def build(seed: int, pool: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        return pool if pool.size < 2 * k else pool[_k_smallest(dist, k)]
 
-    return seeded_partition(x, build)
+    return seeded_partition(normalized_qi(table, params), build)
 
 
 def aggregate(table: Table, partition: Partition) -> AnonymizedTable:

@@ -14,7 +14,7 @@ from .emd import adjust_cluster_size, check_params, required_cluster_size
 from .merge import release
 from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
 from .metrics import RunReport
-from .microagg import Partition, normalized_qi, seeded_partition, sq_distances
+from .microagg import Partition, normalized_qi, seeded_partition
 
 
 @dataclass
@@ -27,15 +27,12 @@ class RankedSubsets:
     -1. `sizes` counts each subset's records not yet taken. Non-central
     subsets start with exactly floor(n/k) records; the n mod k leftover
     records sit in the central subset(s), with a per-subset budget of extras
-    still to hand out. `coords` is the (q, k, width) block of the records'
-    normalized QI coordinates, +inf at taken and padding slots; build_cluster
-    fills it from its x on the first call.
+    still to hand out.
     """
 
     ids: np.ndarray
     sizes: np.ndarray
     extras: list[int]
-    coords: Optional[np.ndarray] = None
 
     @property
     def k(self) -> int:
@@ -72,19 +69,17 @@ def split_subsets(table: Table, k: int) -> RankedSubsets:
     return RankedSubsets(ids, sizes, extras)
 
 
-def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray:
-    """Build one cluster around a seed record: the QI-nearest record (rows of
-    the normalized QI matrix x) from each subset, plus one extra from the
-    first central subset that still has extras to place; ties go to the
-    lowest record index. Consumes the chosen records (and extras budget) from
-    `ranked` and returns the sorted members; cluster size is k or k + 1.
+def build_cluster(ranked: RankedSubsets, dist: np.ndarray) -> np.ndarray:
+    """Build one cluster around a seed record: the QI-nearest record from each
+    subset, plus one extra from the first central subset that still has
+    extras to place; ties go to the lowest record index. dist[r] is record
+    r's squared QI distance to the seed, and dist[-1] is +inf for -1 slots.
+    Consumes the chosen records (and extras budget) from `ranked` and returns
+    the sorted members; cluster size is k or k + 1.
 
-    One distance evaluation covers the whole block; the block is compacted
-    once half of its width has been taken.
+    One gather of dist covers the whole block; the block is compacted once
+    half of its width has been taken.
     """
-    if ranked.coords is None:
-        ranked.coords = x[ranked.ids].transpose(2, 0, 1).copy()
-        ranked.coords[:, ranked.ids < 0] = np.inf
     extra = next((i for i, left in enumerate(ranked.extras) if left > 0), None)
     need = np.ones(ranked.k, dtype=np.int64)
     if extra is not None:
@@ -93,7 +88,7 @@ def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray
     if short.any():
         raise ValueError(f"subset {short.argmax() + 1} is empty")
 
-    d = sq_distances(ranked.coords, x[seed])
+    d = dist[ranked.ids]
     rows = np.arange(ranked.k)
     slots = d.argmin(axis=1)
     if extra is not None:
@@ -103,7 +98,6 @@ def build_cluster(seed: int, ranked: RankedSubsets, x: np.ndarray) -> np.ndarray
         ranked.extras[extra] -= 1
     members = ranked.ids[rows, slots]
     ranked.ids[rows, slots] = -1
-    ranked.coords[:, rows, slots] = np.inf
     ranked.sizes -= need
     if 2 * ranked.sizes.max() <= ranked.ids.shape[1]:
         _compact(ranked)
@@ -115,7 +109,6 @@ def _compact(ranked: RankedSubsets) -> None:
     first and in order."""
     order = np.argsort(ranked.ids < 0, axis=1, kind="stable")[:, : ranked.sizes.max()]
     ranked.ids = np.take_along_axis(ranked.ids, order, axis=1)
-    ranked.coords = np.take_along_axis(ranked.coords, order[np.newaxis], axis=2)
 
 
 def run_tfirst_algorithm(
@@ -135,7 +128,12 @@ def run_tfirst_algorithm(
     def partition_step(params, ctx):
         n = table.n
         ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
-        x = normalized_qi(table, params)
-        return seeded_partition(x, lambda seed, pool, _: build_cluster(seed, ranked, x))
+        drec = np.full(n + 1, np.inf)  # dist by record; the last slot stays +inf
+
+        def build(seed, pool, dist):
+            drec[pool] = dist
+            return build_cluster(ranked, drec)
+
+        return seeded_partition(normalized_qi(table, params), build)
 
     return release("tfirst", table, k, tau, seed, partition_step)

@@ -39,12 +39,9 @@ from oracles import (
     scan_generate_cluster,
     unique_verify_k_anonymity,
 )
+from util import same_bits
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
-
-
-def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def oracle_seeding(x: np.ndarray, build) -> list[np.ndarray]:
@@ -114,7 +111,13 @@ def oracle_tfirst(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
 
 def tfirst_groups(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
     ranked = split_subsets(table, k)
-    part = seeded_partition(x, lambda seed, pool, _: build_cluster(seed, ranked, x))
+    drec = np.full(table.n + 1, np.inf)
+
+    def build(seed, pool, dist):
+        drec[pool] = dist
+        return build_cluster(ranked, drec)
+
+    part = seeded_partition(x, build)
     return [c.members for c in part.clusters]
 
 
@@ -221,10 +224,16 @@ def test_tfirst_block_matches_oracle_with_compaction(n, q, k):
 TAUS = [0.0, 0.01, 0.05, 0.1, 0.2, 0.5]
 
 
-def kfirst_groups(table: Table, k: int, tau: float, generate) -> list[np.ndarray]:
+def kfirst_groups(table: Table, k: int, tau: float, scan: bool = False) -> list[np.ndarray]:
     x = normalized_qi(table, minmax_params(table))
     ctx = TableEmd(table)
-    part = seeded_partition(x, lambda seed, pool, _: generate(seed, pool, x, ctx, k, tau))
+
+    def build(seed, pool, dist):
+        if scan:
+            return scan_generate_cluster(seed, pool, x, ctx, k, tau)
+        return generate_cluster(seed, pool, dist, ctx, k, tau)
+
+    part = seeded_partition(x, build)
     return [c.members for c in part.clusters]
 
 
@@ -233,8 +242,8 @@ def merged_groups(table: Table, part, tau: float, merge) -> list[np.ndarray]:
 
 
 def assert_same_kfirst_and_merge(table: Table, k: int, tau: float):
-    got = kfirst_groups(table, k, tau, generate_cluster)
-    assert_same_groups(got, kfirst_groups(table, k, tau, scan_generate_cluster))
+    got = kfirst_groups(table, k, tau)
+    assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
     for part in (mdav_partition(table, minmax_params(table), k), partition_from_arrays(got, table.n)):
         assert_same_groups(
             merged_groups(table, part, tau, merge_until_tclose),
@@ -263,7 +272,7 @@ def test_generate_cluster_on_a_pool_of_exactly_2k(case, tau, data):
     seed = int(pool[data.draw(st.integers(0, 2 * k - 1))])
     x = normalized_qi(table, minmax_params(table))
     ctx = TableEmd(table)
-    got = generate_cluster(seed, pool, x, ctx, k, tau)
+    got = generate_cluster(seed, pool, sq_distances(x[pool].T, x[seed]), ctx, k, tau)
     assert got.tolist() == scan_generate_cluster(seed, pool, x, ctx, k, tau).tolist()
 
 
@@ -287,8 +296,8 @@ def tied_tables(draw):
 @given(tied_tables(), st.sampled_from(TAUS))
 def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
     table, k = case
-    got = kfirst_groups(table, k, tau, generate_cluster)
-    assert_same_groups(got, kfirst_groups(table, k, tau, scan_generate_cluster))
+    got = kfirst_groups(table, k, tau)
+    assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from tcmicro import (
 )
 import tcmicro.kfirst as kfirst
 from tcmicro.kfirst import _SwapEmd
+from tcmicro.microagg import sq_distances
 from oracles import emd_numerator, max_emd_bound, scan_generate_cluster
 from util import make_1d_table, make_ranks_table
 
@@ -26,7 +27,9 @@ def small_table(n=120, seed=6):
 
 def generate(seed, candidates, table, k, tau):
     x = normalized_qi(table, minmax_params(table))
-    return generate_cluster(seed, np.asarray(candidates), x, TableEmd(table), k, tau)
+    candidates = np.asarray(candidates)
+    dist = sq_distances(x[candidates].T, x[seed])
+    return generate_cluster(seed, candidates, dist, TableEmd(table), k, tau)
 
 
 def emd(table, members):

@@ -8,15 +8,23 @@ from tcmicro import (
     Cluster,
     Partition,
     Role,
+    SynthConfig,
     Table,
     aggregate,
     mdav_partition,
     minmax_params,
     normalized_qi,
+    run_kfirst_algorithm,
+    run_merge_algorithm,
+    run_tfirst_algorithm,
+    synth_generate,
     verify_k_anonymity,
 )
-from tcmicro.microagg import seeded_partition
-from util import make_1d_table, make_ranks_table
+import tcmicro.kfirst
+import tcmicro.microagg
+import tcmicro.tfirst
+from tcmicro.microagg import seeded_partition, sq_distances
+from util import make_1d_table, make_ranks_table, same_bits
 
 SPECS_2QI = (
     AttributeSpec("a", Role.QUASI_IDENTIFIER),
@@ -132,18 +140,53 @@ class TestSeededPartition:
         assert [int(c.members[0]) for c in part.clusters] == [0, 6, 1, 5, 2, 4, 3]
 
     def test_build_sees_only_unassigned_records(self):
+        # dist is the seed's row over the pool, bit for bit
         t = make_ranks_table(9)
         x = normalized_qi(t, minmax_params(t))
         pools = []
 
-        def build(seed, pool, cols):
+        def build(seed, pool, dist):
             pools.append(pool.copy())
-            assert np.array_equal(cols, x[pool].T)
+            assert same_bits(dist, sq_distances(x[pool].T, x[seed]))
             return pool[:3]
 
         part = seeded_partition(x, build)
         assert part.sizes() == [3, 3, 3]
         assert [p.size for p in pools] == [9, 6, 3]
+
+    @pytest.mark.parametrize(
+        "module, run",
+        [
+            (tcmicro.microagg, run_merge_algorithm),
+            (tcmicro.kfirst, run_kfirst_algorithm),
+            (tcmicro.tfirst, run_tfirst_algorithm),
+        ],
+    )
+    def test_no_build_modifies_dist(self, monkeypatch, module, run):
+        # the loop reuses dist for the next pick, so a build must leave it
+        # as it came; 5 QIs, and k, t chosen so kfirst swaps and tfirst
+        # places extras
+        t = synth_generate(SynthConfig(n=103, qi_count=5, target_correlation=0.52, seed=4))
+        seeds = []
+
+        def checked(x, build):
+            def wrapped(seed, pool, dist):
+                want = sq_distances(x[pool].T, x[seed])
+                assert same_bits(dist, want)
+                members = build(seed, pool, dist)
+                assert same_bits(dist, want)
+                seeds.append(seed)
+                return members
+
+            return seeded_partition(x, wrapped)
+
+        _, want, _ = run(t, 3, 0.15)
+        monkeypatch.setattr(module, "seeded_partition", checked)
+        _, got, _ = run(t, 3, 0.15)
+        assert len(seeds) >= 10
+        assert [c.members.tolist() for c in got.clusters] == [
+            c.members.tolist() for c in want.clusters
+        ]
 
 
 class TestAggregate:

@@ -15,6 +15,7 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
+from tcmicro.microagg import sq_distances
 from oracles import max_emd_bound
 from util import make_ranks_table
 
@@ -24,7 +25,13 @@ def small_table(n=120, seed=3):
 
 
 def build(seed, ranked, table):
-    return build_cluster(seed, ranked, normalized_qi(table, minmax_params(table)))
+    return build_cluster(ranked, seed_row(normalized_qi(table, minmax_params(table)), seed))
+
+
+def seed_row(x, seed):
+    """Squared distances from the seed to every record, then +inf for the
+    block's -1 slots."""
+    return np.append(sq_distances(x.T, x[seed]), np.inf)
 
 
 def remaining(ranked):
@@ -111,11 +118,11 @@ class TestBuildCluster:
         ranked = split_subsets(t, 5)  # 5 subsets of 12 records
         taken = set()
         for built in range(1, 7):
-            taken |= set(build_cluster(built, ranked, x).tolist())
+            taken |= set(build_cluster(ranked, seed_row(x, built)).tolist())
             assert ranked.ids.shape == (5, 12 if built < 6 else 6)
         assert len(taken) == 30
         assert (ranked.ids >= 0).all() and not taken & set(ranked.ids.ravel().tolist())
-        assert np.array_equal(ranked.coords, x[ranked.ids].transpose(2, 0, 1))
+        assert (np.diff(ranked.ids, axis=1) > 0).all()  # each row still ascending
 
     def test_empty_subset_rejected(self):
         t = make_ranks_table(4)

@@ -19,6 +19,11 @@ def make_ranks_table(n: int) -> Table:
     return make_1d_table(vals, vals)
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, dtype and bytes."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def subset_emd_matrix(members_matrix: np.ndarray, n: int) -> np.ndarray:
     """Vectorized cluster-vs-table EMD for many clusters over a duplicate-free
     confidential column of n ranked values.
