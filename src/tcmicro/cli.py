@@ -141,9 +141,13 @@ def _check_release(original: Table, anonymized: AnonymizedTable, k: int, t: floa
     k_check = verify_k_anonymity(anonymized, k)
     k_line = (f"PASS (smallest equivalence class {k_check.min_count})" if k_check.ok else
               f"FAIL (combination {k_check.witness} occurs in {k_check.min_count} rows)")
-    t_check = verify_t_closeness(original, _partition_from_ids(anonymized.cluster_ids), t)
-    t_line = (f"PASS (max cluster EMD {t_check.max_emd:.6f})" if t_check.ok else
-              f"FAIL (cluster {t_check.worst_cluster} has EMD {t_check.max_emd:.6f} > {t})")
+    partition = _partition_from_ids(anonymized.cluster_ids)
+    t_check = verify_t_closeness(original, partition, t)
+    if t_check.ok:
+        t_line = f"PASS (max cluster EMD {t_check.max_emd:.6f})"
+    else:
+        worst_id = anonymized.cluster_ids[partition.clusters[t_check.worst_cluster].members[0]]
+        t_line = f"FAIL (cluster {worst_id} has EMD {t_check.max_emd:.6f} > {t})"
     before, after = original.confidential_column(), anonymized.table.confidential_column()
     changed = np.flatnonzero(before != after)
     c_line = "PASS (unchanged row for row)"

@@ -6,8 +6,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -136,8 +136,7 @@ def minmax_params(table: Table) -> NormalizationParams:
     return NormalizationParams(qi.min(axis=0), qi.max(axis=0))
 
 
-# physical lines (reader) or rows (writer) handled per block; larger blocks
-# parse no faster and raise peak memory
+# rows written per block; larger blocks write no faster and raise peak memory
 _BLOCK = 1024
 
 
@@ -148,11 +147,12 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
     their trailing cells as an (n, trailing) int64 array. A cell that parses
     to nan or an infinity counts as missing.
 
-    The body is read in blocks of _BLOCK physical lines. A block that
-    _parse_block accepts becomes arrays at once; any other block goes
-    through the row-by-row _read_rows, and from the first block holding a
-    quote the rest of the file does, since a quoted cell can span lines.
-    Both give the same rows, row numbers and messages."""
+    The body is parsed by one np.loadtxt call. If that call raises a
+    ValueError or a warning, or gives a non-finite cell, the whole body is
+    read again by the row-by-row _read_rows, which gives every row number
+    and message. np.loadtxt takes no quotes, so a quoted cell fails it, and
+    a line longer than csv's field limit is made to fail it, since csv.reader
+    rejects such a field."""
     by_name = {spec.name: spec for spec in roles}
     if len(by_name) != len(roles):
         raise ValueError("duplicate attribute names in roles")
@@ -175,36 +175,24 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
             raise ValueError(f"declared columns missing from file: {sorted(missing_cols)}")
         specs = tuple(by_name[name] for name in names)
 
-        # one (cells, tails, row numbers) part per block
-        parts = [(np.empty((0, width)), [], np.empty(0, dtype=np.int64))]
-        row_no = 0
-        while True:
-            block = []
-            try:
-                block.extend(islice(fh, _BLOCK))
-            except UnicodeDecodeError as exc:
-                # csv.reader(fh) parses the lines decoded before the error
-                # first: this raises a bad row among them, else exc
-                _read_rows(csv.reader(chain(block, _raising(exc))), row_no, header, width,
-                           drop_missing)
-            if not block:
-                break
-            if '"' in "".join(block):
-                parts.append(_read_rows(csv.reader(chain(block, fh)), row_no, header, width,
-                                        drop_missing))
-                break
-            part = _parse_block(block, row_no, width, len(header))
-            if part is None:
-                part = _read_rows(csv.reader(block), row_no, header, width, drop_missing)
-            parts.append(part)
-            row_no += len(block)
-    cells = np.concatenate([cells for cells, _, _ in parts])
-    row_nos = np.concatenate([nos for _, _, nos in parts])
+        limit = csv.field_size_limit()
+        lines = (line if len(line) <= limit else "-\n" for line in fh)
+        dtype = [("cells", np.float64, (width,)), ("ids", np.int64, (len(trailing),))]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            body = None
+        if body is not None and np.isfinite(body["cells"]).all():
+            return specs, np.ascontiguousarray(body["cells"]), np.ascontiguousarray(body["ids"])
+        fh.seek(0)
+        records = csv.reader(fh)
+        next(records)
+        cells, tails, row_nos = _read_rows(records, header, width, drop_missing)
     try:
-        ids = np.concatenate([np.array(tails, dtype=np.int64).reshape(len(nos), len(trailing))
-                              for _, tails, nos in parts])
+        ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
     except OverflowError:
-        tails = [v for _, block_tails, _ in parts for v in block_tails]
         i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
         name = trailing[i % len(trailing)]
         raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
@@ -221,42 +209,15 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
     return specs, cells, ids
 
 
-def _raising(exc: Exception):
-    """An iterator that raises exc when asked for its first item."""
-    yield from ()
-    raise exc
-
-
-def _parse_block(block: list[str], row_no: int, width: int, ncol: int):
-    """Parse a block of quote-free physical lines, numbered from row_no + 1,
-    as one array, or return None for _read_rows to take it. Without quotes
-    csv.reader splits each line, less its terminator, at every comma, so the
-    block is taken only if every line has ncol - 1 commas and fits csv's
-    field limit, and every cell passes the float (declared) or int
-    (trailing) call that _read_rows makes first."""
-    lines = [line.rstrip("\r\n") for line in block]
-    if (max(map(len, lines)) > csv.field_size_limit()
-            or any(line.count(",") != ncol - 1 for line in lines)):
-        return None
-    grid = np.array(",".join(lines).split(","), dtype=object).reshape(len(lines), ncol)
-    try:
-        cells = np.fromiter(map(float, grid[:, :width].ravel()), np.float64, len(lines) * width)
-        tails = np.fromiter(map(int, grid[:, width:].ravel()), np.int64, grid[:, width:].size)
-    except (ValueError, OverflowError):
-        return None
-    row_nos = np.arange(row_no + 1, row_no + 1 + len(lines), dtype=np.int64)
-    return cells.reshape(len(lines), width), tails, row_nos
-
-
-def _read_rows(records, row_no: int, header: list[str], width: int, drop_missing: bool):
-    """Row-by-row parse of csv records numbered from row_no + 1: blank rows
+def _read_rows(records, header: list[str], width: int, drop_missing: bool):
+    """Row-by-row parse of a body's csv records, numbered from 1: blank rows
     are skipped, a wrong cell count is an error, and a row that fails the
     whole-row float/int parse is parsed cell by cell, then dropped
     (drop_missing) or reported with its row and column. Returns the kept
     rows' cells as a float array, their trailing cells as a list of ints
     and their row numbers."""
     rows, tails, row_nos = [], [], []
-    for row_no, raw in enumerate(records, start=row_no + 1):
+    for row_no, raw in enumerate(records, start=1):
         if not "".join(raw).strip():
             continue
         if len(raw) != len(header):
@@ -275,7 +236,7 @@ def _read_rows(records, row_no: int, header: list[str], width: int, drop_missing
         tails += tail
         row_nos.append(row_no)
     cells = np.array(rows, dtype=np.float64).reshape(len(row_nos), width)
-    return cells, tails, np.array(row_nos, dtype=np.int64)
+    return cells, tails, row_nos
 
 
 def _parse_cells(header: list[str], raw: list[str], width: int):

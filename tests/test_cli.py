@@ -251,6 +251,38 @@ class TestVerify:
         assert "t-closeness" in captured and "FAIL" in captured and "cluster" in captured
 
 
+def test_t_closeness_failure_names_the_cluster_id(tmp_path, synth_files, capsys):
+    # a merge release with its ids renumbered to 10 * id + 7: the failing
+    # class must be named by an id the release holds, not by its position
+    data, roles = synth_files
+    out = tmp_path / "anon.csv"
+    assert main([
+        "anonymize", "--input", str(data), "--roles", str(roles),
+        "--algorithm", "merge", "--k", "2", "--t", "0.1", "--output", str(out),
+    ]) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    ids = {int(row[-1]) for row in rows}
+    assert ids == set(range(len(ids)))
+    for row in rows:
+        row[-1] = str(10 * int(row[-1]) + 7)
+    renumbered = tmp_path / "renumbered.csv"
+    with open(renumbered, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+    def failing_cluster(release):
+        capsys.readouterr()
+        assert main([
+            "verify", "--input", str(data), "--anonymized", str(release),
+            "--roles", str(roles), "--k", "2", "--t", "0.05",
+        ]) == 2
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("t-closeness"))
+        return int(line.split("FAIL (cluster ")[1].split()[0])
+
+    assert failing_cluster(renumbered) == 10 * failing_cluster(out) + 7
+
+
 def _constant_confidential(header, rows):
     col = header.index("conf")
     for row in rows:

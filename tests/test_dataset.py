@@ -181,6 +181,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("text, roles, message", [
         ("age,zip,income,cluster_id\n1,2,3,0\n4,x,6,0\n", ROLES, r"row 2, column 'zip'"),
         ("age,zip,income,cluster_id\n1,2,3,0.5\n", ROLES, r"row 1, column 'cluster_id'"),
+        ("age,zip,income,cluster_id\n1,2,3,3.0\n", ROLES, r"row 1, column 'cluster_id'"),
         ("age,zip,income,cluster_id\n1,2,3,\n", ROLES, r"row 1, column 'cluster_id'"),
         ("age,income,cluster_id\n1,3,0\n", ROLES, "declared columns missing from file"),
         ("age,zip,income,cluster_id\n1,2,3,0\n", ROLES + ROLES[:1], "duplicate attribute"),
@@ -189,8 +190,8 @@ class TestWriteCsv:
          r"row 2, column 'cluster_id'"),
         ("age,age,income,cluster_id\n1,2,3,0\n", [ROLES[0], ROLES[2]],
          "duplicate column 'age' in file header"),
-    ], ids=["bad-cell", "fractional-id", "empty-id", "missing-column", "duplicate-role",
-            "no-cluster-id", "oversized-id", "duplicate-column"])
+    ], ids=["bad-cell", "fractional-id", "integral-float-id", "empty-id", "missing-column",
+            "duplicate-role", "no-cluster-id", "oversized-id", "duplicate-column"])
     def test_bad_release_rejected(self, tmp_path, text, roles, message):
         path = write(tmp_path, text)
         with pytest.raises(ValueError, match=message):
