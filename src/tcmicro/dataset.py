@@ -147,12 +147,13 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
     their trailing cells as an (n, trailing) int64 array. A cell that parses
     to nan or an infinity counts as missing.
 
-    The body is parsed by one np.loadtxt call. If that call raises a
-    ValueError or a warning, or gives a non-finite cell, the whole body is
-    read again by the row-by-row _read_rows, which gives every row number
-    and message. np.loadtxt takes no quotes, so a quoted cell fails it, and
-    a line longer than csv's field limit is made to fail it, since csv.reader
-    rejects such a field."""
+    The body is parsed by one np.loadtxt call, whose rows with a non-finite
+    cell are dropped there when drop_missing is set. If that call raises a
+    ValueError or a warning, or gives a non-finite cell without
+    drop_missing, the whole body is read again by the row-by-row _read_rows,
+    which gives every row number and message. np.loadtxt takes no quotes, so
+    a quoted cell fails it, and a line longer than csv's field limit is made
+    to fail it, since csv.reader rejects such a field."""
     by_name = {spec.name: spec for spec in roles}
     if len(by_name) != len(roles):
         raise ValueError("duplicate attribute names in roles")
@@ -185,6 +186,11 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
         except (ValueError, Warning):
             body = None
         if body is not None and np.isfinite(body["cells"]).all():
+            return specs, np.ascontiguousarray(body["cells"]), np.ascontiguousarray(body["ids"])
+        if body is not None and drop_missing:
+            body = body[np.isfinite(body["cells"]).all(axis=1)]
+            if not len(body):
+                raise ValueError(f"{path}: no usable rows after parsing")
             return specs, np.ascontiguousarray(body["cells"]), np.ascontiguousarray(body["ids"])
         fh.seek(0)
         records = csv.reader(fh)

@@ -47,6 +47,7 @@ class TableEmd:
         # SB[j] = B[0] + ... + B[j-1]
         self._b = np.cumsum(counts)
         self._sb = np.concatenate(([0], np.cumsum(self._b)))
+        self._swap_sums = {}
 
     def cluster_emd(self, members: np.ndarray) -> float:
         """EMD between the cluster's confidential distribution and the whole
@@ -57,12 +58,7 @@ class TableEmd:
             raise ValueError("cluster is empty")
         if self.m == 1:
             return 0.0
-        ranks = np.sort(self.ranks[members])
-        s = ranks.size
-        hi = np.empty_like(ranks)
-        hi[:-1], hi[-1] = ranks[1:], self.m
-        d = self._numerators(ranks, hi, np.arange(1, s + 1), s, [0], s, ranks.sum())
-        return float(self._emds(d, s)[0])
+        return float(self._emds(self._numerator(np.sort(self.ranks[members])), members.size))
 
     def partition_emds(self, groups) -> np.ndarray:
         """Every cluster's EMD at once, bit for bit cluster_emd of each: one
@@ -87,6 +83,13 @@ class TableEmd:
         d = self._numerators(lo, hi, a, sizes[labels], starts, sizes, np.add.reduceat(ranks, starts))
         return self._emds(d, sizes)
 
+    def _numerator(self, ranks: np.ndarray) -> np.int64:
+        """D of one cluster from its ranks in ascending order."""
+        s = ranks.size
+        hi = np.empty_like(ranks)
+        hi[:-1], hi[-1] = ranks[1:], self.m
+        return self._numerators(ranks, hi, np.arange(1, s + 1), s, [0], s, ranks.sum())[0]
+
     def _numerators(self, lo, hi, a, s, first, sizes, rank_sums) -> np.ndarray:
         """D of each cluster from its ranks in ascending order: the one at
         lo, the a-th of a cluster of s, starts the ranks [lo, hi) up to the
@@ -107,8 +110,40 @@ class TableEmd:
         return 2 * p + (n * (sizes * self.m - rank_sums) - sizes * sb[-1])
 
     def _emds(self, d, sizes) -> np.ndarray:
-        """EMD = D / (s n (m - 1)), one rounding from the exact integers."""
+        """EMD = D / (s n (m - 1)) in float64. numpy turns each int64 operand
+        into a float64 before it divides, so the quotient is one rounding
+        from the exact integers only while D and s n (m - 1) are below 2**53;
+        above that each operand is rounded first, and [2**53 + 1] / [3] gives
+        3002399751580330.5 where the exact quotient rounds to
+        3002399751580331.0."""
         return d / (sizes * (self.n * (self.m - 1)))
+
+    def swap_sums(self, s: int) -> np.ndarray:
+        """The swap sums of a cluster of s records: with
+
+            F[alpha, x] = sum over j < x of clip(n - 2 (n alpha - s B_j), -n, n)
+
+        for alpha in 0..s + 1 and x in 0..m, row x (s + 1) + alpha of the
+        returned ((m + 1)(s + 1), 2) int64 array is (F[alpha, x],
+        F[alpha + 1, x]). Where the cluster's A_j is alpha, c_j = n alpha -
+        s B_j, so F[alpha] holds the prefix sums of |c_j - n| - |c_j|, the
+        change in |c_j| when A_j drops by 1, and -F[alpha + 1] those of
+        |c_j + n| - |c_j|, the change when it rises by 1. Built on first use
+        for each s and kept: 16 (s + 1)(m + 1) bytes."""
+        pairs = self._swap_sums.get(s)
+        if pairs is None:
+            n = self.n
+            pairs = np.zeros((self.m + 1, s + 1, 2), dtype=np.int64)
+            # each half is built in place, so building takes no more memory
+            # than keeping
+            for half in (0, 1):
+                f = pairs[1:, :, half]
+                f[:] = 2 * s * self._b[:, None]
+                f += n * (1 - 2 * np.arange(half, s + 1 + half))
+                np.clip(f, -n, n, out=f)
+                np.cumsum(f, axis=0, out=f)
+            pairs = self._swap_sums[s] = pairs.reshape(-1, 2)
+        return pairs
 
     def max_cluster_emd(self, groups) -> tuple[float, int]:
         """The largest cluster EMD over groups and the lowest index attaining

@@ -4,6 +4,8 @@ t-closeness, which cluster construction alone cannot."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -17,85 +19,111 @@ from .microagg import Partition, normalized_qi, seeded_partition
 
 
 class _SwapEmd:
-    """Exact EMD numerator of a cluster under single-record swaps.
+    """Exact EMD numerator of a cluster under single-record swaps, on O(s)
+    state for a cluster of s of the table's n records.
 
-    For a cluster of s of the table's n records, keeps c_j = n A_j - s B_j
-    (TableEmd's cumulative counts, see there), D = sum of |c_j| and, in the
-    two rows of prefix, the prefix sums of |c_j - n| - |c_j| and
-    |c_j + n| - |c_j|, each starting at 0, all in int64. Replacing a member
-    of rank a by a candidate of rank b lowers A by 1 on [a, b) (a < b) or
-    raises it by 1 on [b, a) (a > b), so the exact change in D is
-    prefix[0, b] - prefix[0, a] or prefix[1, a] - prefix[1, b], for a whole
-    block of candidates x members at once.
+    With c_j = n A_j - s B_j (TableEmd's cumulative counts, see there) and
+    D = sum of |c_j|, let down(x) and up(x) be the sums over j < x of
+    |c_j - n| - |c_j| and |c_j + n| - |c_j|. Replacing a member of rank a by
+    a candidate of rank b lowers A by 1 on [a, b) (a < b) or raises it by 1
+    on [b, a) (a > b), so D changes by exactly down(b) - down(a) or
+    up(a) - up(b). Between consecutive sorted member ranks A_j is one
+    constant p, so with p = #{member ranks < x} and F the table of
+    TableEmd.swap_sums(s),
+
+        down(x) = gd[p] + F[p, x],    up(x) = gu[p] - F[p + 1, x],
+
+    for s + 1 offsets gd and gu per state. A candidate b is improving iff
+    down(b) < max{down(a) : a < b} or up(b) > min{up(a) : a >= b}, that is
+    iff F[p, b] < td[p] or F[p + 1, b] < tu[p], with the thresholds td and
+    tu held as the (s + 1, 2) array thr. D is an int64, so that the EMD
+    divides as TableEmd's does; the offsets and deltas are Python ints.
     """
 
     def __init__(self, ctx: TableEmd, members: np.ndarray):
         self.ctx = ctx
         self.members = np.array(members, dtype=np.int64)
-        self.ranks = ctx.ranks[self.members]
+        ranks = ctx.ranks[self.members]
+        self.ranks = ranks.tolist()
         self.size = s = self.members.size
-        a = np.cumsum(np.bincount(self.ranks, minlength=ctx.m))
-        self._c = ctx.n * a - s * ctx._b
-        self.d = np.abs(self._c).sum()
-        self.prefix = np.zeros((2, ctx.m + 1), dtype=np.int64)
-        self._fill(0, ctx.m)
+        self._pairs = ctx.swap_sums(s)
+        self._item = self._pairs.item
+        # below every entry of F, so a side with no member never hits
+        self._never = -ctx.n * (ctx.m + 1)
+        self.d = ctx._numerator(np.sort(ranks))
         self._set_emd()
-
-    def _fill(self, lo: int, hi: int):
-        """Recompute prefix[:, lo + 1 : hi + 1] from c[lo:hi], keeping
-        prefix[:, lo]; |c - n| - |c| = clip(n - 2c, -n, n) and
-        |c + n| - |c| = clip(n + 2c, -n, n)."""
-        n, prefix = self.ctx.n, self.prefix
-        terms = np.multiply.outer((-2, 2), self._c[lo:hi])
-        terms += n
-        np.minimum(terms, n, out=terms)
-        np.maximum(terms, -n, out=terms)
-        terms[:, 0] += prefix[:, lo]
-        np.cumsum(terms, axis=1, out=prefix[:, lo + 1 : hi + 1])
+        self._rebuild()
 
     def _set_emd(self):
         self.emd = 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
+
+    def _rebuild(self):
+        """Offsets, the down and up value of each member rank and the
+        thresholds, O(s): along the sorted ranks r, down(r_i) = gd[i] +
+        F[i, r_i] and gd[i + 1] = down(r_i) - F[i + 1, r_i], which holds
+        through tied ranks too; up alike."""
+        s, item, never = self.size, self._item, self._never
+        r = sorted(self.ranks)
+        gd, gu, down, up = [0], [0], [], []
+        for i, rank in enumerate(r):
+            x = 2 * (rank * (s + 1) + i)  # F[i, rank], F[i + 1, rank]; F[i + 2, rank] at x + 3
+            f1 = item(x + 1)
+            down.append(gd[-1] + item(x))
+            up.append(gu[-1] - f1)
+            gd.append(down[-1] - f1)
+            gu.append(up[-1] + item(x + 3))
+        # td[p] = max{down(a) : a < b} - gd[p], tu[p] = gu[p] - min{up(a) : a >= b}
+        td = [never, *(best - g for best, g in zip(accumulate(down, max), gd[1:]))]
+        tu = [*(g - best for g, best in zip(gu, [*accumulate(reversed(up), min)][::-1])), never]
+        self._sorted_list, self._sorted = r, np.array(r)
+        self._gd, self._gu = gd, gu
+        self._down, self._up = dict(zip(r, down)), dict(zip(r, up))
+        self._thr = np.array([*zip(td, tu)])
+
+    def _at(self, rank: int) -> tuple[int, int]:
+        """(down(rank), up(rank)) of the current state."""
+        p = bisect_left(self._sorted_list, rank)
+        x = 2 * (rank * (self.size + 1) + p)
+        return self._gd[p] + self._item(x), self._gu[p] - self._item(x + 1)
+
+    def _deltas(self, rank: int) -> list[int]:
+        """The change in D for swapping each member, in member order, for a
+        candidate of this rank; 0 for a member of the same rank."""
+        down_b, up_b = self._at(rank)
+        return [down_b - self._down[a] if rank > a else self._up[a] - up_b for a in self.ranks]
 
     def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int]:
         """(j, pos) for the first candidate j whose best swap strictly lowers
         D, pos being the earliest member position attaining that best;
         (-1, -1) when no candidate improves. A candidate sharing a member's
-        rank changes D by exactly 0, so equal-EMD swaps are never taken."""
-        a = self.ranks
-        b = candidate_ranks[:, None]
-        down, up = self.prefix
-        deltas = np.where(b > a, down[b] - down[a], up[a] - up[b])
-        hits = np.minimum.reduce(deltas, axis=1) < 0
-        j = int(hits.argmax())
-        if not hits[j]:
+        rank changes D by exactly 0, so equal-EMD swaps are never taken.
+        O(block) to find j, O(s) for pos."""
+        p = self._sorted.searchsorted(candidate_ranks)
+        rows = candidate_ranks * (self.size + 1)
+        rows += p
+        hits = self._pairs.take(rows, axis=0) < self._thr.take(p, axis=0)
+        first = int(hits.argmax())
+        if not hits.item(first):
             return -1, -1
-        return j, int(deltas[j].argmin())
+        j = first // 2
+        deltas = self._deltas(int(candidate_ranks[j]))
+        return j, deltas.index(min(deltas))
 
     def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
-        """Replace the member at pos by the candidate. c moves by n on the
-        ranks [lo, hi) between the two, so prefix is recomputed on (lo, hi]
-        and every entry after hi moves by one constant, its change at hi."""
-        old_rank = int(self.ranks[pos])
-        if old_rank != candidate_rank:
-            lo, hi = sorted((old_rank, candidate_rank))
-            row = 0 if candidate_rank > old_rank else 1
-            prefix = self.prefix
-            self.d += prefix[row, hi] - prefix[row, lo]
-            end = prefix[:, hi].copy()
-            self._c[lo:hi] += self.ctx.n if row else -self.ctx.n
-            self._fill(lo, hi)
-            prefix[:, hi + 1 :] += (prefix[:, hi] - end)[:, None]
+        """Replace the member at pos by the candidate: D moves by that
+        swap's delta and the O(s) state is rebuilt."""
+        if self.ranks[pos] != candidate_rank:
+            self.d += self._deltas(candidate_rank)[pos]
+            self.ranks[pos] = candidate_rank
+            self._rebuild()
             self._set_emd()
         self.members[pos] = candidate
-        self.ranks[pos] = candidate_rank
 
 
 # candidates scored per block: _FIRST_BLOCK after each accepted swap, doubled
-# after every block without one, so a long run of misses costs few numpy calls;
-# capped at _MAX_BLOCK_CELLS candidate x member scores so that a block's
-# temporaries stay small whatever the pool size and k
+# after every block without one, so a long run of misses costs few numpy calls
+# while a block's temporaries stay O(block)
 _FIRST_BLOCK = 16
-_MAX_BLOCK_CELLS = 1 << 16
 
 
 def generate_cluster(
@@ -125,7 +153,7 @@ def generate_cluster(
         j, pos = state.first_swap(rest_ranks[at : at + block])
         if j < 0:
             at += block
-            block = min(2 * block, max(_FIRST_BLOCK, _MAX_BLOCK_CELLS // k))
+            block *= 2
             continue
         state.apply_swap(pos, int(rest[at + j]), int(rest_ranks[at + j]))
         at += j + 1

@@ -3,6 +3,7 @@ distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the integer EMD numerator summed over every
 rank, the closed-form upper bound for clusters built one record per subset,
 the one-candidate-at-a-time kfirst swap loop on recounted integer numerators,
+the per-rank swap prefix sums and the brute-force swap delta matrix,
 the list-based merge loop, the np.unique k-anonymity check, and the
 row-at-a-time CSV reader and writer that the package's array and block
 versions replaced."""
@@ -180,6 +181,37 @@ def scan_generate_cluster(
             pos = sums.index(best)
             members[pos], counts, current = y, trials[pos], best
     return np.sort(members)
+
+
+def swap_prefix_sums(ctx: TableEmd, ranks: Sequence[int]) -> np.ndarray:
+    """The (2, m + 1) int64 prefix sums down, up of |c_j - n| - |c_j| and
+    |c_j + n| - |c_j| over every rank, each starting at 0, for the cluster
+    whose members have these ranks (c_j = n A_j - s B_j): the O(m) state the
+    kfirst swap search kept per cluster before its per-regime tables."""
+    n, s = ctx.n, len(ranks)
+    c = n * np.cumsum(np.bincount(ranks, minlength=ctx.m)) - s * ctx._b
+    terms = np.multiply.outer((-2, 2), c) + n
+    np.clip(terms, -n, n, out=terms)
+    prefix = np.zeros((2, ctx.m + 1), dtype=np.int64)
+    np.cumsum(terms, axis=1, out=prefix[:, 1:])
+    return prefix
+
+
+def swap_delta_matrix(ranks: np.ndarray, members: Sequence[int], candidate_ranks) -> np.ndarray:
+    """D after swapping member position i (column) for a record of each
+    candidate rank (row), minus D before, with every D recounted from the
+    trial cluster's per-rank counts over every rank; ranks are the table's
+    confidential ranks, record by record."""
+    n, m, s = ranks.size, int(ranks.max()) + 1, len(members)
+    b = np.cumsum(np.bincount(ranks, minlength=m))
+    current = np.asarray(ranks)[np.asarray(members)]
+
+    def numerator(r):
+        return int(np.abs(n * np.cumsum(np.bincount(r, minlength=m)) - s * b).sum())
+
+    d = numerator(current)
+    return np.array([[numerator(np.where(np.arange(s) == i, c, current)) - d for i in range(s)]
+                     for c in candidate_ranks], dtype=np.int64)
 
 
 def list_merge_until_tclose(table, partition, tau, params, ctx):

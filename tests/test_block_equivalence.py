@@ -32,11 +32,14 @@ from tcmicro import (
     synth_generate,
     verify_k_anonymity,
 )
+from tcmicro.kfirst import _SwapEmd
 from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
 from oracles import (
     exact_emd,
     list_merge_until_tclose,
     scan_generate_cluster,
+    swap_delta_matrix,
+    swap_prefix_sums,
     unique_verify_k_anonymity,
 )
 from util import same_bits
@@ -300,6 +303,37 @@ def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
     assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
 
 
+@SETTINGS
+@given(tied_tables(), st.data())
+def test_swap_state_matches_brute_force_deltas(case, data):
+    # random states and candidate blocks, member ranks included, on tables
+    # with tied ranks: down and up at every rank are the O(m) prefix sums,
+    # first_swap picks what the brute-force delta matrix picks, and
+    # apply_swap moves D by that delta
+    table, k = case
+    ctx = TableEmd(table)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    state = _SwapEmd(ctx, rng.choice(table.n, size=k, replace=False))
+    for _ in range(4):
+        member_ranks = ctx.ranks[state.members]
+        down, up = swap_prefix_sums(ctx, member_ranks)
+        assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
+        block = rng.permutation(np.concatenate([
+            rng.integers(0, ctx.m, data.draw(st.integers(0, 12))),
+            rng.choice(member_ranks, data.draw(st.integers(1, k))),
+        ]))
+        deltas = swap_delta_matrix(ctx.ranks, state.members, block)
+        improving = np.flatnonzero(deltas.min(axis=1) < 0)
+        j, pos = state.first_swap(block)
+        if not improving.size:
+            assert (j, pos) == (-1, -1)
+            break
+        assert (j, pos) == (improving[0], int(deltas[j].argmin()))
+        before = state.d
+        state.apply_swap(pos, int(np.flatnonzero(ctx.ranks == block[j])[0]), int(block[j]))
+        assert state.d - before == deltas[j, pos]
+
+
 @pytest.mark.parametrize(
     "n, q, k, tau, conf",
     [
@@ -308,7 +342,7 @@ def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
         (300, 2, 4, 0.02, np.zeros),  # constant confidential column
         # one record of value 0 among 1023 of value 1: every EMD is exact, no
         # cluster without the 0 can improve on 1/1024, so every block misses
-        # and blocks grow to their cap of _MAX_BLOCK_CELLS // k = 327
+        # and blocks double until they span the rest of the pool
         (1024, 2, 200, 1e-4, lambda n: (np.arange(n) > 0).astype(float)),
     ],
 )

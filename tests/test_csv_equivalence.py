@@ -171,6 +171,23 @@ def test_line_over_csv_field_limit(tmp_path, mode):
         assert "field limit" in str(assert_same_read(path, mode)[1])
 
 
+@pytest.mark.parametrize("rows_hit", [[1], [7, 1500], "all"])
+def test_non_finite_rows_dropped_without_a_second_read(tmp_path, monkeypatch, rows_hit):
+    # with drop_missing, numpy's reader drops the non-finite rows itself:
+    # the row-by-row reader, which only an error needs, is never called
+    rows = long_file("load_csv-drop")
+    for row_no in range(1, len(rows) + 1) if rows_hit == "all" else rows_hit:
+        rows[row_no - 1] = DEFECTS["non-finite"](rows[row_no - 1])
+    path = write_rows(tmp_path, "load_csv-drop", rows)
+    expected = outcome(rowwise_read_csv, path, "load_csv-drop")
+
+    def not_called(*args):
+        raise AssertionError("_read_rows called")
+
+    monkeypatch.setattr(dataset, "_read_rows", not_called)
+    assert outcome(dataset._read_csv, path, "load_csv-drop") == expected
+
+
 @pytest.mark.parametrize("mode", list(MODES))
 @pytest.mark.parametrize("bad_row, byte_row, quoted", [
     (3, 500, False), (3, 1500, False), (600, 900, False), (1030, 1500, False),

@@ -17,7 +17,7 @@ from tcmicro import (
 import tcmicro.kfirst as kfirst
 from tcmicro.kfirst import _SwapEmd
 from tcmicro.microagg import sq_distances
-from oracles import emd_numerator, max_emd_bound, scan_generate_cluster
+from oracles import emd_numerator, max_emd_bound, scan_generate_cluster, swap_prefix_sums
 from util import make_1d_table, make_ranks_table
 
 
@@ -109,8 +109,9 @@ class TestGenerateCluster:
         assert swaps > 0
 
     def test_incremental_state_matches_fresh_state(self):
-        # arbitrary swaps, improving or not, each rank interval recomputed
-        # and the tail shifted
+        # arbitrary swaps, improving or not: the O(k) state rebuilt after each
+        # one equals a fresh state's, and down and up at every rank equal the
+        # O(m) prefix sums
         rng = np.random.default_rng(56)
         n = 300
         t = make_1d_table(rng.uniform(0, 1, n), rng.integers(0, 120, n))
@@ -122,9 +123,14 @@ class TestGenerateCluster:
             pos = int(rng.integers(0, state.size))
             state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
             fresh = _SwapEmd(ctx, state.members)
-            assert np.array_equal(state.prefix, fresh.prefix)
+            for name in ("ranks", "_sorted_list", "_gd", "_gu", "_down", "_up"):
+                assert getattr(state, name) == getattr(fresh, name)
+            for name in ("_sorted", "_thr"):
+                assert np.array_equal(getattr(state, name), getattr(fresh, name))
             assert state.d == fresh.d
             assert state.emd == fresh.emd
+            down, up = swap_prefix_sums(ctx, ctx.ranks[state.members])
+            assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
 
     def test_refuses_a_zero_gain_swap(self):
         # a float scorer read this cluster's EMD as 0.09523809523809525, one
