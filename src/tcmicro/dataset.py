@@ -185,25 +185,22 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
                 body = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             body = None
-        if body is not None and np.isfinite(body["cells"]).all():
-            return specs, np.ascontiguousarray(body["cells"]), np.ascontiguousarray(body["ids"])
-        if body is not None and drop_missing:
-            body = body[np.isfinite(body["cells"]).all(axis=1)]
-            if not len(body):
-                raise ValueError(f"{path}: no usable rows after parsing")
-            return specs, np.ascontiguousarray(body["cells"]), np.ascontiguousarray(body["ids"])
-        fh.seek(0)
-        records = csv.reader(fh)
-        next(records)
-        cells, tails, row_nos = _read_rows(records, header, width, drop_missing)
-    try:
-        ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
-    except OverflowError:
-        i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
-        name = trailing[i % len(trailing)]
-        raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
-                         "integer out of range") from None
-    finite = np.isfinite(cells).all(axis=1)
+        if body is not None:
+            cells, ids = body["cells"], body["ids"]
+            finite = np.isfinite(cells).all(axis=1)
+        if body is None or not (drop_missing or finite.all()):
+            fh.seek(0)
+            records = csv.reader(fh)
+            next(records)
+            cells, tails, row_nos = _read_rows(records, header, width, drop_missing)
+            try:
+                ids = np.array(tails, dtype=np.int64).reshape(len(row_nos), len(trailing))
+            except OverflowError:
+                i = next(i for i, v in enumerate(tails) if not -(2**63) <= v < 2**63)
+                name = trailing[i % len(trailing)]
+                raise ValueError(f"row {row_nos[i // len(trailing)]}, column '{name}': "
+                                 "integer out of range") from None
+            finite = np.isfinite(cells).all(axis=1)
     if not finite.all():
         if not drop_missing:
             i = int(np.argmin(finite))
@@ -212,7 +209,7 @@ def _read_csv(path, roles: Sequence[AttributeSpec], trailing: tuple[str, ...], d
         cells, ids = cells[finite], ids[finite]
     if not len(cells):
         raise ValueError(f"{path}: no usable rows after parsing")
-    return specs, cells, ids
+    return specs, np.ascontiguousarray(cells), np.ascontiguousarray(ids)
 
 
 def _read_rows(records, header: list[str], width: int, drop_missing: bool):

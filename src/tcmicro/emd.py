@@ -47,7 +47,7 @@ class TableEmd:
         # SB[j] = B[0] + ... + B[j-1]
         self._b = np.cumsum(counts)
         self._sb = np.concatenate(([0], np.cumsum(self._b)))
-        self._swap_sums = {}
+        self._swap_sums = None
 
     def cluster_emd(self, members: np.ndarray) -> float:
         """EMD between the cluster's confidential distribution and the whole
@@ -118,32 +118,12 @@ class TableEmd:
         3002399751580331.0."""
         return d / (sizes * (self.n * (self.m - 1)))
 
-    def swap_sums(self, s: int) -> np.ndarray:
-        """The swap sums of a cluster of s records: with
-
-            F[alpha, x] = sum over j < x of clip(n - 2 (n alpha - s B_j), -n, n)
-
-        for alpha in 0..s + 1 and x in 0..m, row x (s + 1) + alpha of the
-        returned ((m + 1)(s + 1), 2) int64 array is (F[alpha, x],
-        F[alpha + 1, x]). Where the cluster's A_j is alpha, c_j = n alpha -
-        s B_j, so F[alpha] holds the prefix sums of |c_j - n| - |c_j|, the
-        change in |c_j| when A_j drops by 1, and -F[alpha + 1] those of
-        |c_j + n| - |c_j|, the change when it rises by 1. Built on first use
-        for each s and kept: 16 (s + 1)(m + 1) bytes."""
-        pairs = self._swap_sums.get(s)
-        if pairs is None:
-            n = self.n
-            pairs = np.zeros((self.m + 1, s + 1, 2), dtype=np.int64)
-            # each half is built in place, so building takes no more memory
-            # than keeping
-            for half in (0, 1):
-                f = pairs[1:, :, half]
-                f[:] = 2 * s * self._b[:, None]
-                f += n * (1 - 2 * np.arange(half, s + 1 + half))
-                np.clip(f, -n, n, out=f)
-                np.cumsum(f, axis=0, out=f)
-            pairs = self._swap_sums[s] = pairs.reshape(-1, 2)
-        return pairs
+    def swap_sums(self, s: int) -> "SwapSums":
+        """kfirst's swap sums for clusters of s records (see SwapSums),
+        built on first use and kept for the last s asked for."""
+        if self._swap_sums is None or self._swap_sums.s != s:
+            self._swap_sums = SwapSums(self, s)
+        return self._swap_sums
 
     def max_cluster_emd(self, groups) -> tuple[float, int]:
         """The largest cluster EMD over groups and the lowest index attaining
@@ -151,6 +131,81 @@ class TableEmd:
         emds = self.partition_emds(groups)
         worst = int(np.argmax(emds))
         return float(emds[worst]), worst
+
+
+# SwapSums tabulates F when its table has at most this many rows, 16 bytes
+# each (16 MiB), and evaluates it in closed form otherwise
+_MAX_TABLE_ROWS = 1 << 20
+
+
+class SwapSums:
+    """The swap sums of clusters of s of a table's n records over its m
+    distinct values:
+
+        F[alpha, x] = sum over j < x of clip(n - 2 (n alpha - s B_j), -n, n)
+
+    for alpha in 0..s + 1 and x in 0..m. Where a cluster's A_j is alpha
+    (TableEmd's cumulative counts), c_j = n alpha - s B_j, so F[alpha] holds
+    the prefix sums of |c_j - n| - |c_j|, the change in |c_j| when A_j drops
+    by 1, and -F[alpha + 1] those of |c_j + n| - |c_j|, the change when it
+    rises by 1.
+
+    B is nondecreasing, so with T[beta] = #{j : s B_j < n beta} the term is
+    -n below T[alpha - 1], n from T[alpha] on and linear in B_j between,
+    which sums to
+
+        F[alpha, x] = n x + 2 H(alpha, min(x, T[alpha]))
+                          - 2 H(alpha - 1, min(x, T[alpha - 1])),
+        H(beta, u) = s SB[u] - n beta u,
+
+    every intermediate below n * n * m in magnitude for s < n. The
+    (s + 1)(m + 1) rows (F[alpha, x], F[alpha + 1, x]), 16 bytes each, are
+    tabulated as table when there are at most _MAX_TABLE_ROWS of them, and
+    a read is one gather; otherwise table is None and a read evaluates F
+    from the s + 3 breakpoints T in a fixed number of numpy calls."""
+
+    def __init__(self, emd: TableEmd, s: int):
+        n = self._n = emd.n
+        self.s = s
+        self._sb = emd._sb
+        # row p holds beta = p - 1, p, p + 1, for p in 0..s
+        beta = np.arange(-1, s + 2)
+        window = np.lib.stride_tricks.sliding_window_view
+        self._t = window(emd._b.searchsorted(-(-n * beta // s)), 3).copy()
+        self._nbeta = window(n * beta, 3).copy()
+        self.table = None
+        if (s + 1) * (emd.m + 1) > _MAX_TABLE_ROWS:
+            return
+        table = np.zeros((emd.m + 1, s + 1, 2), dtype=np.int64)
+        # each half is built in place, so building takes no more memory
+        # than keeping
+        for half in (0, 1):
+            f = table[1:, :, half]
+            f[:] = 2 * s * emd._b[:, None]
+            f += n * (1 - 2 * np.arange(half, s + 1 + half))
+            np.clip(f, -n, n, out=f)
+            np.cumsum(f, axis=0, out=f)
+        self.table = table.reshape(-1, 2)
+
+    def pairs(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """(F[p, x], F[p + 1, x]) in each row, for regimes p in 0..s and
+        ranks x in 0..m, one-dimensional int64 arrays of one length."""
+        if self.table is None:
+            return self._evaluate(p, x)
+        rows = x * (self.s + 1)
+        rows += p
+        return self.table.take(rows, axis=0)
+
+    def _evaluate(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """pairs from the breakpoints."""
+        u = np.minimum(self._t.take(p, axis=0), x[:, None])
+        h = self._sb.take(u)
+        h *= self.s
+        h -= self._nbeta.take(p, axis=0) * u
+        f = h[:, 1:] - h[:, :-1]
+        f *= 2
+        f += (self._n * x)[:, None]
+        return f
 
 
 def check_params(n: int, k, tau=None) -> None:

@@ -4,8 +4,8 @@ t-closeness, which cluster construction alone cannot."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
+from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -28,29 +28,36 @@ class _SwapEmd:
     a candidate of rank b lowers A by 1 on [a, b) (a < b) or raises it by 1
     on [b, a) (a > b), so D changes by exactly down(b) - down(a) or
     up(a) - up(b). Between consecutive sorted member ranks A_j is one
-    constant p, so with p = #{member ranks < x} and F the table of
+    constant p, so with p = #{member ranks < x} and F the swap sums of
     TableEmd.swap_sums(s),
 
-        down(x) = gd[p] + F[p, x],    up(x) = gu[p] - F[p + 1, x],
+        down(x) = gd[p] + F[p, x],    up(x) = gu[p] - F[p + 1, x]
 
     for s + 1 offsets gd and gu per state. A candidate b is improving iff
     down(b) < max{down(a) : a < b} or up(b) > min{up(a) : a >= b}, that is
-    iff F[p, b] < td[p] or F[p + 1, b] < tu[p], with the thresholds td and
-    tu held as the (s + 1, 2) array thr. D is an int64, so that the EMD
-    divides as TableEmd's does; the offsets and deltas are Python ints.
+    iff F[p, b] < td[p] or F[p + 1, b] < tu[p], with the thresholds held as
+    the (s + 1, 2) array thr; a side with no member gets a threshold below
+    every F. D is an int64, so that the EMD divides as TableEmd's does.
+
+    A block of candidates is scored in a fixed number of numpy calls. After
+    a swap the O(s) state is rebuilt in a fixed number of numpy calls, or,
+    for s up to _LOOP_SIZE and a tabulated F, over Python ints read from
+    the table; self._values holds each member's (down(a), up(a)) as an
+    (s, 2) array or a list of pairs.
     """
 
     def __init__(self, ctx: TableEmd, members: np.ndarray):
         self.ctx = ctx
         self.members = np.array(members, dtype=np.int64)
-        ranks = ctx.ranks[self.members]
-        self.ranks = ranks.tolist()
+        self.ranks = ctx.ranks[self.members]
         self.size = s = self.members.size
-        self._pairs = ctx.swap_sums(s)
-        self._item = self._pairs.item
-        # below every entry of F, so a side with no member never hits
+        sums = ctx.swap_sums(s)
+        self._pairs = sums.pairs
+        self._item = sums.table.item if s <= _LOOP_SIZE and sums.table is not None else None
+        self._regimes = np.arange(s + 1)
         self._never = -ctx.n * (ctx.m + 1)
-        self.d = ctx._numerator(np.sort(ranks))
+        self._hit = None
+        self.d = ctx._numerator(np.sort(self.ranks))
         self._set_emd()
         self._rebuild()
 
@@ -58,66 +65,112 @@ class _SwapEmd:
         self.emd = 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
 
     def _rebuild(self):
-        """Offsets, the down and up value of each member rank and the
-        thresholds, O(s): along the sorted ranks r, down(r_i) = gd[i] +
-        F[i, r_i] and gd[i + 1] = down(r_i) - F[i + 1, r_i], which holds
-        through tied ranks too; up alike."""
-        s, item, never = self.size, self._item, self._never
-        r = sorted(self.ranks)
-        gd, gu, down, up = [0], [0], [], []
-        for i, rank in enumerate(r):
-            x = 2 * (rank * (s + 1) + i)  # F[i, rank], F[i + 1, rank]; F[i + 2, rank] at x + 3
-            f1 = item(x + 1)
-            down.append(gd[-1] + item(x))
-            up.append(gu[-1] - f1)
-            gd.append(down[-1] - f1)
-            gu.append(up[-1] + item(x + 3))
-        # td[p] = max{down(a) : a < b} - gd[p], tu[p] = gu[p] - min{up(a) : a >= b}
-        td = [never, *(best - g for best, g in zip(accumulate(down, max), gd[1:]))]
-        tu = [*(g - best for g, best in zip(gu, [*accumulate(reversed(up), min)][::-1])), never]
-        self._sorted_list, self._sorted = r, np.array(r)
-        self._gd, self._gu = gd, gu
-        self._down, self._up = dict(zip(r, down)), dict(zip(r, up))
-        self._thr = np.array([*zip(td, tu)])
+        """Offsets, each member's down and up and the thresholds: along the
+        sorted ranks r, down(r_i) = gd[i] + F[i, r_i], gd[i + 1] = down(r_i)
+        - F[i + 1, r_i], up(r_i) = gu[i] - F[i + 1, r_i] and gu[i + 1] =
+        up(r_i) + F[i + 2, r_i], which holds through tied ranks too."""
+        s, never, item = self.size, self._never, self._item
+        if item is not None:
+            r = sorted(self.ranks.tolist())
+            gd, gu, down, up = [0], [0], [], []
+            for i, rank in enumerate(r):
+                # F[i, rank] at x, F[i + 1, rank] at x + 1, F[i + 2, rank] at x + 3
+                x = 2 * (rank * (s + 1) + i)
+                f1 = item(x + 1)
+                down.append(gd[-1] + item(x))
+                up.append(gu[-1] - f1)
+                gd.append(down[-1] - f1)
+                gu.append(up[-1] + item(x + 3))
+            td = [never, *map(sub, accumulate(down, max), gd[1:])]
+            tu = [*map(sub, gu, [*accumulate(reversed(up), min)][::-1]), never]
+            self._sorted, self._gd, self._gu = np.array(r), gd, gu
+            self._thr = np.array([*zip(td, tu)])
+            by_rank = dict(zip(r, zip(down, up)))
+            self._values = [by_rank[a] for a in self.ranks.tolist()]
+            return
+        order = self.ranks.argsort()
+        self._sorted = r = self.ranks[order]
+        f = self._pairs(self._regimes[:-1], r)
+        f2 = self._pairs(self._regimes[1:], r)[:, 1]
+        self._gd = gd = np.zeros(s + 1, dtype=np.int64)
+        self._gu = gu = np.zeros(s + 1, dtype=np.int64)
+        np.add.accumulate(f[:, 0] - f[:, 1], out=gd[1:])
+        np.add.accumulate(f2 - f[:, 1], out=gu[1:])
+        values = np.empty((s, 2), dtype=np.int64)
+        down, up = values.T
+        np.add(gd[:-1], f[:, 0], out=down)
+        np.subtract(gu[:-1], f[:, 1], out=up)
+        self._thr = thr = np.full((s + 1, 2), never)
+        np.subtract(np.maximum.accumulate(down), gd[1:], out=thr[1:, 0])
+        np.subtract(gu[:-1], np.minimum.accumulate(up[::-1])[::-1], out=thr[:-1, 1])
+        self._values = np.empty_like(values)
+        self._values[order] = values
+
+    def _best(self, rank: int, down_b: int, up_b: int) -> tuple[int, int]:
+        """(pos, delta): the earliest member position whose swap for a
+        candidate of this rank, down and up changes D least, and that
+        change; a member of the same rank changes D by 0."""
+        if self._item is not None:
+            deltas = [
+                down_b - down if rank > a else up - up_b
+                for a, (down, up) in zip(self.ranks.tolist(), self._values)
+            ]
+            delta = min(deltas)
+            return deltas.index(delta), delta
+        down, up = self._values.T
+        deltas = np.where(self.ranks < rank, down_b - down, up - up_b)
+        pos = int(deltas.argmin())
+        return pos, int(deltas[pos])
 
     def _at(self, rank: int) -> tuple[int, int]:
         """(down(rank), up(rank)) of the current state."""
-        p = bisect_left(self._sorted_list, rank)
-        x = 2 * (rank * (self.size + 1) + p)
-        return self._gd[p] + self._item(x), self._gu[p] - self._item(x + 1)
-
-    def _deltas(self, rank: int) -> list[int]:
-        """The change in D for swapping each member, in member order, for a
-        candidate of this rank; 0 for a member of the same rank."""
-        down_b, up_b = self._at(rank)
-        return [down_b - self._down[a] if rank > a else self._up[a] - up_b for a in self.ranks]
+        p = int(self._sorted.searchsorted(rank))
+        f0, f1 = self._pairs(np.array([p]), np.array([rank]))[0].tolist()
+        return int(self._gd[p]) + f0, int(self._gu[p]) - f1
 
     def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int]:
         """(j, pos) for the first candidate j whose best swap strictly lowers
         D, pos being the earliest member position attaining that best;
         (-1, -1) when no candidate improves. A candidate sharing a member's
         rank changes D by exactly 0, so equal-EMD swaps are never taken.
-        O(block) to find j, O(s) for pos."""
+        Only candidate j's s deltas are formed, and apply_swap reuses the
+        one picked."""
         p = self._sorted.searchsorted(candidate_ranks)
-        rows = candidate_ranks * (self.size + 1)
-        rows += p
-        hits = self._pairs.take(rows, axis=0) < self._thr.take(p, axis=0)
+        f = self._pairs(p, candidate_ranks)
+        hits = f < self._thr.take(p, axis=0)
         first = int(hits.argmax())
         if not hits.item(first):
             return -1, -1
         j = first // 2
-        deltas = self._deltas(int(candidate_ranks[j]))
-        return j, deltas.index(min(deltas))
+        rank, pj = int(candidate_ranks[j]), int(p[j])
+        f0, f1 = f[j].tolist()
+        pos, delta = self._best(rank, int(self._gd[pj]) + f0, int(self._gu[pj]) - f1)
+        self._hit = (rank, pos, delta)
+        return j, pos
 
     def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
         """Replace the member at pos by the candidate: D moves by that
-        swap's delta and the O(s) state is rebuilt."""
+        swap's delta, first_swap's when it picked this swap, and the O(s)
+        state is rebuilt."""
         if self.ranks[pos] != candidate_rank:
-            self.d += self._deltas(candidate_rank)[pos]
+            if self._hit is not None and self._hit[:2] == (candidate_rank, pos):
+                delta = self._hit[2]
+            else:
+                (down_b, up_b), (down, up) = self._at(candidate_rank), self._values[pos]
+                delta = down_b - down if candidate_rank > self.ranks[pos] else up - up_b
+            self.d += delta
             self.ranks[pos] = candidate_rank
             self._rebuild()
             self._set_emd()
+        self._hit = None
         self.members[pos] = candidate
+
+
+# a cluster of at most this many members over a tabulated F rebuilds its swap
+# state over Python ints, a larger one in numpy: on a 2-core Xeon VM
+# (Python 3.11, numpy 2.4) the loop's cost grows by about 1.5 us a member and
+# the two cost about the same, 20 us a rebuild, near s = 10
+_LOOP_SIZE = 10
 
 
 # candidates scored per block: _FIRST_BLOCK after each accepted swap, doubled

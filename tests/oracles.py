@@ -3,10 +3,10 @@ distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the integer EMD numerator summed over every
 rank, the closed-form upper bound for clusters built one record per subset,
 the one-candidate-at-a-time kfirst swap loop on recounted integer numerators,
-the per-rank swap prefix sums and the brute-force swap delta matrix,
-the list-based merge loop, the np.unique k-anonymity check, and the
-row-at-a-time CSV reader and writer that the package's array and block
-versions replaced."""
+the per-rank swap prefix sums, the swap sums term by term and the brute-force
+swap delta matrix, the list-based merge loop, the np.unique k-anonymity
+check, and the row-at-a-time CSV reader and writer that the package's array
+and block versions replaced."""
 
 from __future__ import annotations
 
@@ -195,6 +195,20 @@ def swap_prefix_sums(ctx: TableEmd, ranks: Sequence[int]) -> np.ndarray:
     prefix = np.zeros((2, ctx.m + 1), dtype=np.int64)
     np.cumsum(terms, axis=1, out=prefix[:, 1:])
     return prefix
+
+
+def swap_sums_matrix(ctx: TableEmd, s: int) -> np.ndarray:
+    """F[alpha, x], the sum over j < x of clip(n - 2 (n alpha - s B_j), -n, n),
+    for alpha in 0..s + 1 and x in 0..m, summed term by term in Python ints:
+    the swap sums of clusters of s records."""
+    n, b = ctx.n, ctx._b.tolist()
+    f = np.zeros((s + 2, ctx.m + 1), dtype=np.int64)
+    for alpha in range(s + 2):
+        total = 0
+        for j, bj in enumerate(b):
+            total += min(max(n - 2 * (n * alpha - s * bj), -n), n)
+            f[alpha, j + 1] = total
+    return f
 
 
 def swap_delta_matrix(ranks: np.ndarray, members: Sequence[int], candidate_ranks) -> np.ndarray:

@@ -9,6 +9,8 @@ row-major reductions bit for bit, and the partitions must be identical,
 cluster order included.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -40,9 +42,10 @@ from oracles import (
     scan_generate_cluster,
     swap_delta_matrix,
     swap_prefix_sums,
+    swap_sums_matrix,
     unique_verify_k_anonymity,
 )
-from util import same_bits
+from util import SWAP_PATH_IDS, SWAP_PATHS, same_bits, swap_paths
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -303,35 +306,90 @@ def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
     assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
 
 
+@pytest.mark.parametrize("tabulate, loop", SWAP_PATHS, ids=SWAP_PATH_IDS)
 @SETTINGS
 @given(tied_tables(), st.data())
-def test_swap_state_matches_brute_force_deltas(case, data):
+def test_swap_state_matches_brute_force_deltas(tabulate, loop, case, data):
     # random states and candidate blocks, member ranks included, on tables
     # with tied ranks: down and up at every rank are the O(m) prefix sums,
     # first_swap picks what the brute-force delta matrix picks, and
-    # apply_swap moves D by that delta
+    # apply_swap moves D by that delta, on every way of reading F and
+    # rebuilding
     table, k = case
-    ctx = TableEmd(table)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    state = _SwapEmd(ctx, rng.choice(table.n, size=k, replace=False))
-    for _ in range(4):
-        member_ranks = ctx.ranks[state.members]
-        down, up = swap_prefix_sums(ctx, member_ranks)
-        assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
-        block = rng.permutation(np.concatenate([
-            rng.integers(0, ctx.m, data.draw(st.integers(0, 12))),
-            rng.choice(member_ranks, data.draw(st.integers(1, k))),
-        ]))
-        deltas = swap_delta_matrix(ctx.ranks, state.members, block)
-        improving = np.flatnonzero(deltas.min(axis=1) < 0)
-        j, pos = state.first_swap(block)
-        if not improving.size:
-            assert (j, pos) == (-1, -1)
-            break
-        assert (j, pos) == (improving[0], int(deltas[j].argmin()))
-        before = state.d
-        state.apply_swap(pos, int(np.flatnonzero(ctx.ranks == block[j])[0]), int(block[j]))
-        assert state.d - before == deltas[j, pos]
+    with swap_paths(tabulate, loop):
+        ctx = TableEmd(table)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        state = _SwapEmd(ctx, rng.choice(table.n, size=k, replace=False))
+        for _ in range(4):
+            member_ranks = ctx.ranks[state.members]
+            down, up = swap_prefix_sums(ctx, member_ranks)
+            assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
+            block = rng.permutation(np.concatenate([
+                rng.integers(0, ctx.m, data.draw(st.integers(0, 12))),
+                rng.choice(member_ranks, data.draw(st.integers(1, k))),
+            ]))
+            deltas = swap_delta_matrix(ctx.ranks, state.members, block)
+            improving = np.flatnonzero(deltas.min(axis=1) < 0)
+            j, pos = state.first_swap(block)
+            if not improving.size:
+                assert (j, pos) == (-1, -1)
+                break
+            assert (j, pos) == (improving[0], int(deltas[j].argmin()))
+            # the picked position, or any other: D moves by that swap's delta
+            if data.draw(st.booleans()):
+                pos = int(rng.integers(0, k))
+            before = state.d
+            state.apply_swap(pos, int(np.flatnonzero(ctx.ranks == block[j])[0]), int(block[j]))
+            assert state.d - before == deltas[j, pos]
+
+
+@SETTINGS
+@given(tied_tables(), st.integers(1, 12))
+def test_swap_sums_table_and_closed_form_match_term_by_term_sums(case, s):
+    # every regime and rank, on tables with tied ranks and a single value
+    table, _ = case
+    want = swap_sums_matrix(TableEmd(table), s)
+    m = want.shape[1] - 1
+    p, x = (a.ravel() for a in np.meshgrid(np.arange(s + 1), np.arange(m + 1)))
+    for tabulate in (True, False):
+        with swap_paths(tabulate, loop=False):
+            got = TableEmd(table).swap_sums(s).pairs(p, x)
+        for i in range(2):
+            assert got[:, i].tolist() == want[p + i, x].tolist()
+
+
+def test_large_swap_sums_are_not_tabulated():
+    # (s + 1)(m + 1) = 2000 * 4001 rows would take 128 MB as a table; the
+    # closed form keeps O(s) breakpoints and reads the same F
+    n = 4000
+    ctx = TableEmd(make_table(np.zeros((n, 1)), np.arange(n, dtype=float)))
+    tracemalloc.start()
+    try:
+        sums = ctx.swap_sums(1999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sums.table is None
+    rng = np.random.default_rng(4)
+    p, x = rng.integers(0, 2000, 500), rng.integers(0, n + 1, 500)
+    for alpha, rank, row in zip(p.tolist(), x.tolist(), sums.pairs(p, x).tolist()):
+        b = ctx._b[:rank]
+        assert row == [int(np.clip(n - 2 * (n * (alpha + i) - 1999 * b), -n, n).sum()) for i in range(2)]
+
+
+@pytest.mark.parametrize("tabulate, loop", SWAP_PATHS, ids=SWAP_PATH_IDS)
+@pytest.mark.parametrize("k, conf", [(3, None), (5, lambda n: np.arange(n) % 4), (24, None)])
+def test_kfirst_matches_integer_scan_on_every_swap_path(tabulate, loop, k, conf):
+    table = synth_generate(SynthConfig(n=240, qi_count=2, target_correlation=0.52, seed=k))
+    if conf is not None:
+        rows = table.rows.copy()
+        rows[:, table.confidential_index] = np.random.default_rng(k).permutation(conf(240))
+        table = Table(table.specs, rows)
+    for tau in (0.01, 0.1):
+        with swap_paths(tabulate, loop):
+            got = kfirst_groups(table, k, tau)
+        assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
 
 
 @pytest.mark.parametrize(

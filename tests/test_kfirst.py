@@ -18,7 +18,7 @@ import tcmicro.kfirst as kfirst
 from tcmicro.kfirst import _SwapEmd
 from tcmicro.microagg import sq_distances
 from oracles import emd_numerator, max_emd_bound, scan_generate_cluster, swap_prefix_sums
-from util import make_1d_table, make_ranks_table
+from util import SWAP_PATHS, make_1d_table, make_ranks_table, swap_paths
 
 
 def small_table(n=120, seed=6):
@@ -111,26 +111,29 @@ class TestGenerateCluster:
     def test_incremental_state_matches_fresh_state(self):
         # arbitrary swaps, improving or not: the O(k) state rebuilt after each
         # one equals a fresh state's, and down and up at every rank equal the
-        # O(m) prefix sums
+        # O(m) prefix sums, on every way of reading F and rebuilding
         rng = np.random.default_rng(56)
         n = 300
         t = make_1d_table(rng.uniform(0, 1, n), rng.integers(0, 120, n))
-        ctx = TableEmd(t)
-        state = _SwapEmd(ctx, rng.choice(n, size=5, replace=False))
-        for candidate in rng.permutation(n):
-            if candidate in state.members:
-                continue
-            pos = int(rng.integers(0, state.size))
-            state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
-            fresh = _SwapEmd(ctx, state.members)
-            for name in ("ranks", "_sorted_list", "_gd", "_gu", "_down", "_up"):
-                assert getattr(state, name) == getattr(fresh, name)
-            for name in ("_sorted", "_thr"):
-                assert np.array_equal(getattr(state, name), getattr(fresh, name))
-            assert state.d == fresh.d
-            assert state.emd == fresh.emd
-            down, up = swap_prefix_sums(ctx, ctx.ranks[state.members])
-            assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
+        members = rng.choice(n, size=5, replace=False)
+        order = rng.permutation(n)
+        for tabulate, loop in SWAP_PATHS:
+            with swap_paths(tabulate, loop):
+                ctx = TableEmd(t)
+                state = _SwapEmd(ctx, members)
+                for candidate in order:
+                    if candidate in state.members:
+                        continue
+                    pos = int(rng.integers(0, state.size))
+                    state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
+                    fresh = _SwapEmd(ctx, state.members)
+                    for name in ("ranks", "_sorted", "_gd", "_gu", "_values", "_thr"):
+                        assert np.array_equal(getattr(state, name), getattr(fresh, name))
+                    assert state.d == fresh.d
+                    assert state.emd == fresh.emd
+                    down, up = swap_prefix_sums(ctx, ctx.ranks[state.members])
+                    want = list(zip(down.tolist(), up.tolist()))
+                    assert [state._at(x) for x in range(ctx.m + 1)] == want
 
     def test_refuses_a_zero_gain_swap(self):
         # a float scorer read this cluster's EMD as 0.09523809523809525, one

@@ -1,8 +1,30 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
+
+import tcmicro.emd
+import tcmicro.kfirst
 from tcmicro import AttributeSpec, Role, Table
+
+# kfirst's swap state reads the swap sums F from a table or evaluates them
+# in closed form, and rebuilds after a swap in numpy or, over a table, in
+# Python ints; cluster size selects the path
+SWAP_PATHS = [(True, True), (True, False), (False, False)]
+SWAP_PATH_IDS = ["table-loop", "table-numpy", "closed-numpy"]
+
+
+@contextmanager
+def swap_paths(tabulate: bool, loop: bool):
+    """Force the swap sums to be tabulated or not, and the swap state to be
+    rebuilt over Python ints (given a table) or in numpy, whatever the
+    cluster size, for TableEmds made inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcmicro.emd, "_MAX_TABLE_ROWS", 1 << 62 if tabulate else 0)
+        mp.setattr(tcmicro.kfirst, "_LOOP_SIZE", 1 << 62 if loop else 0)
+        yield
 
 
 def make_1d_table(qi_values, conf_values) -> Table:
