@@ -187,7 +187,7 @@ def swap_prefix_sums(ctx: TableEmd, ranks: Sequence[int]) -> np.ndarray:
     """The (2, m + 1) int64 prefix sums down, up of |c_j - n| - |c_j| and
     |c_j + n| - |c_j| over every rank, each starting at 0, for the cluster
     whose members have these ranks (c_j = n A_j - s B_j): the O(m) state the
-    kfirst swap search kept per cluster before its per-regime tables."""
+    kfirst swap search kept per cluster before its O(k) state."""
     n, s = ctx.n, len(ranks)
     c = n * np.cumsum(np.bincount(ranks, minlength=ctx.m)) - s * ctx._b
     terms = np.multiply.outer((-2, 2), c) + n
