@@ -56,7 +56,6 @@ class _SwapEmd:
         self._item = sums.table.item if s <= _LOOP_SIZE and sums.table is not None else None
         self._regimes = np.arange(s + 1)
         self._never = -ctx.n * (ctx.m + 1)
-        self._hit = None
         self.d = ctx._numerator(np.sort(self.ranks))
         self._set_emd()
         self._rebuild()
@@ -122,48 +121,33 @@ class _SwapEmd:
         pos = int(deltas.argmin())
         return pos, int(deltas[pos])
 
-    def _at(self, rank: int) -> tuple[int, int]:
-        """(down(rank), up(rank)) of the current state."""
-        p = int(self._sorted.searchsorted(rank))
-        f0, f1 = self._pairs(np.array([p]), np.array([rank]))[0].tolist()
-        return int(self._gd[p]) + f0, int(self._gu[p]) - f1
-
-    def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int]:
-        """(j, pos) for the first candidate j whose best swap strictly lowers
-        D, pos being the earliest member position attaining that best;
-        (-1, -1) when no candidate improves. A candidate sharing a member's
-        rank changes D by exactly 0, so equal-EMD swaps are never taken.
-        Only candidate j's s deltas are formed, and apply_swap reuses the
-        one picked."""
+    def first_swap(self, candidate_ranks: np.ndarray) -> tuple[int, int, int]:
+        """(j, pos, delta) for the first candidate j whose best swap strictly
+        lowers D, pos being the earliest member position attaining that best
+        and delta the change in D; (-1, -1, 0) when no candidate improves. A
+        candidate sharing a member's rank changes D by exactly 0, so
+        equal-EMD swaps are never taken. Only candidate j's s deltas are
+        formed."""
         p = self._sorted.searchsorted(candidate_ranks)
         f = self._pairs(p, candidate_ranks)
         hits = f < self._thr.take(p, axis=0)
         first = int(hits.argmax())
         if not hits.item(first):
-            return -1, -1
+            return -1, -1, 0
         j = first // 2
         rank, pj = int(candidate_ranks[j]), int(p[j])
         f0, f1 = f[j].tolist()
         pos, delta = self._best(rank, int(self._gd[pj]) + f0, int(self._gu[pj]) - f1)
-        self._hit = (rank, pos, delta)
-        return j, pos
+        return j, pos, delta
 
-    def apply_swap(self, pos: int, candidate: int, candidate_rank: int):
-        """Replace the member at pos by the candidate: D moves by that
-        swap's delta, first_swap's when it picked this swap, and the O(s)
-        state is rebuilt."""
-        if self.ranks[pos] != candidate_rank:
-            if self._hit is not None and self._hit[:2] == (candidate_rank, pos):
-                delta = self._hit[2]
-            else:
-                (down_b, up_b), (down, up) = self._at(candidate_rank), self._values[pos]
-                delta = down_b - down if candidate_rank > self.ranks[pos] else up - up_b
-            self.d += delta
-            self.ranks[pos] = candidate_rank
-            self._rebuild()
-            self._set_emd()
-        self._hit = None
+    def apply_swap(self, pos: int, candidate: int, candidate_rank: int, delta: int):
+        """Replace the member at pos by the candidate, which moves D by delta
+        (first_swap's), and rebuild the O(s) state."""
+        self.d += delta
+        self.ranks[pos] = candidate_rank
         self.members[pos] = candidate
+        self._rebuild()
+        self._set_emd()
 
 
 # a cluster of at most this many members over a tabulated F rebuilds its swap
@@ -203,12 +187,12 @@ def generate_cluster(
     # first improving candidate the state changes and scoring resumes past it
     at, block = 0, _FIRST_BLOCK
     while at < rest.size and state.emd > tau:
-        j, pos = state.first_swap(rest_ranks[at : at + block])
+        j, pos, delta = state.first_swap(rest_ranks[at : at + block])
         if j < 0:
             at += block
             block *= 2
             continue
-        state.apply_swap(pos, int(rest[at + j]), int(rest_ranks[at + j]))
+        state.apply_swap(pos, int(rest[at + j]), int(rest_ranks[at + j]), delta)
         at += j + 1
         block = _FIRST_BLOCK
     return np.sort(state.members)

@@ -13,10 +13,6 @@ from .dataset import AnonymizedTable, NormalizationParams, Table
 from .emd import TableEmd
 from .microagg import Partition
 
-# floating-point allowance of the t-closeness check: an EMD at most this far
-# above tau still passes
-TAU_SLACK = 1e-9
-
 
 @dataclass(frozen=True)
 class RunReport:
@@ -81,15 +77,21 @@ def normalized_sse(
     return float((ned**2).sum() / (original.n * m))
 
 
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) for the classes of equal rows of keys: one stable sort
+    puts the classes in lexicographic order, each class's rows by index, and
+    class i starts at order[starts[i]]; == on floats groups -0.0 with 0.0."""
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)])
+    return order, starts
+
+
 def verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:
     """Pass iff every distinct QI combination occurs in at least k rows; on
     failure the witness is one violating combination."""
     qi = anonymized.table.qi_matrix()
-    # one stable sort puts the classes in lexicographic order, each class's
-    # rows by index; == on floats groups -0.0 with 0.0
-    order = np.lexsort(qi.T[::-1])
-    sorted_qi = qi[order]
-    starts = np.flatnonzero(np.r_[True, (sorted_qi[1:] != sorted_qi[:-1]).any(axis=1)])
+    order, starts = _classes(qi)
     counts = np.diff(np.r_[starts, qi.shape[0]])
     min_count = int(counts.min())
     if min_count >= k:
@@ -98,11 +100,14 @@ def verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:
     return KAnonymityCheck(False, k, min_count, tuple(float(v) for v in qi[witness_row]))
 
 
-def verify_t_closeness(table: Table, partition: Partition, tau: float) -> TClosenessCheck:
-    """Pass iff every cluster's EMD to the table marginal is at most
-    tau + TAU_SLACK; reports the worst cluster either way."""
-    max_emd, worst = TableEmd(table).max_cluster_emd([c.members for c in partition.clusters])
-    return TClosenessCheck(max_emd <= tau + TAU_SLACK, tau, max_emd, worst)
+def verify_t_closeness(table: Table, anonymized: AnonymizedTable, tau: float) -> TClosenessCheck:
+    """Pass iff every class of rows sharing a cluster id has an EMD to the
+    table marginal of at most tau; worst_cluster is the cluster id of the
+    class with the largest EMD, the lowest id on ties."""
+    ids = anonymized.cluster_ids
+    order, starts = _classes(ids[:, None])
+    max_emd, worst = TableEmd(table).max_cluster_emd(np.split(order, starts[1:]))
+    return TClosenessCheck(max_emd <= tau, tau, max_emd, int(ids[order[starts[worst]]]))
 
 
 def cluster_size_stats(partition: Partition) -> tuple[int, float]:

@@ -37,6 +37,7 @@ from tcmicro import (
 from tcmicro.kfirst import _SwapEmd
 from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
 from oracles import (
+    emd_numerator,
     exact_emd,
     list_merge_until_tclose,
     scan_generate_cluster,
@@ -45,7 +46,7 @@ from oracles import (
     swap_sums_matrix,
     unique_verify_k_anonymity,
 )
-from util import SWAP_PATH_IDS, SWAP_PATHS, same_bits, swap_paths
+from util import SWAP_PATH_IDS, SWAP_PATHS, same_bits, swap_down_up, swap_paths
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -312,8 +313,9 @@ def test_kfirst_matches_integer_scan_on_tied_and_duplicate_rows(case, tau):
 def test_swap_state_matches_brute_force_deltas(tabulate, loop, case, data):
     # random states and candidate blocks, member ranks included, on tables
     # with tied ranks: down and up at every rank are the O(m) prefix sums,
-    # first_swap picks what the brute-force delta matrix picks, and
-    # apply_swap moves D by that delta, on every way of reading F and
+    # first_swap picks what the brute-force delta matrix picks, with its
+    # delta, and after that swap or any other, applied with the matrix's
+    # delta, D is the recounted numerator, on every way of reading F and
     # rebuilding
     table, k = case
     with swap_paths(tabulate, loop):
@@ -323,24 +325,23 @@ def test_swap_state_matches_brute_force_deltas(tabulate, loop, case, data):
         for _ in range(4):
             member_ranks = ctx.ranks[state.members]
             down, up = swap_prefix_sums(ctx, member_ranks)
-            assert [state._at(x) for x in range(ctx.m + 1)] == list(zip(down.tolist(), up.tolist()))
+            assert swap_down_up(state) == list(zip(down.tolist(), up.tolist()))
             block = rng.permutation(np.concatenate([
                 rng.integers(0, ctx.m, data.draw(st.integers(0, 12))),
                 rng.choice(member_ranks, data.draw(st.integers(1, k))),
             ]))
             deltas = swap_delta_matrix(ctx.ranks, state.members, block)
             improving = np.flatnonzero(deltas.min(axis=1) < 0)
-            j, pos = state.first_swap(block)
+            j, pos, delta = state.first_swap(block)
             if not improving.size:
-                assert (j, pos) == (-1, -1)
+                assert (j, pos, delta) == (-1, -1, 0)
                 break
-            assert (j, pos) == (improving[0], int(deltas[j].argmin()))
-            # the picked position, or any other: D moves by that swap's delta
+            assert (j, pos, delta) == (improving[0], int(deltas[j].argmin()), deltas[j].min())
             if data.draw(st.booleans()):
                 pos = int(rng.integers(0, k))
-            before = state.d
-            state.apply_swap(pos, int(np.flatnonzero(ctx.ranks == block[j])[0]), int(block[j]))
-            assert state.d - before == deltas[j, pos]
+            candidate = int(np.flatnonzero(ctx.ranks == block[j])[0])
+            state.apply_swap(pos, candidate, int(block[j]), int(deltas[j, pos]))
+            assert state.d == emd_numerator(table.confidential_column(), state.members)
 
 
 @SETTINGS

@@ -17,8 +17,14 @@ from tcmicro import (
 import tcmicro.kfirst as kfirst
 from tcmicro.kfirst import _SwapEmd
 from tcmicro.microagg import sq_distances
-from oracles import emd_numerator, max_emd_bound, scan_generate_cluster, swap_prefix_sums
-from util import SWAP_PATHS, make_1d_table, make_ranks_table, swap_paths
+from oracles import (
+    emd_numerator,
+    max_emd_bound,
+    scan_generate_cluster,
+    swap_delta_matrix,
+    swap_prefix_sums,
+)
+from util import SWAP_PATHS, make_1d_table, make_ranks_table, swap_down_up, swap_paths
 
 
 def small_table(n=120, seed=6):
@@ -72,9 +78,9 @@ class TestGenerateCluster:
         accepted = []
 
         class RecordingSwapEmd(_SwapEmd):
-            def apply_swap(self, pos, candidate, candidate_rank):
+            def apply_swap(self, pos, candidate, candidate_rank, delta):
                 before = self.members.tolist()
-                super().apply_swap(pos, candidate, candidate_rank)
+                super().apply_swap(pos, candidate, candidate_rank, delta)
                 accepted.append((before, self.members.tolist()))
 
         monkeypatch.setattr(kfirst, "_SwapEmd", RecordingSwapEmd)
@@ -100,9 +106,9 @@ class TestGenerateCluster:
         swaps = 0
         for candidate in outside:
             rank = int(ctx.ranks[candidate])
-            j, pos = state.first_swap(np.array([rank]))
+            j, pos, delta = state.first_swap(np.array([rank]))
             if j >= 0:
-                state.apply_swap(pos, candidate, rank)
+                state.apply_swap(pos, candidate, rank, delta)
                 swaps += 1
             assert state.d == emd_numerator(conf, state.members)
             assert state.emd == ctx.cluster_emd(state.members)
@@ -125,7 +131,9 @@ class TestGenerateCluster:
                     if candidate in state.members:
                         continue
                     pos = int(rng.integers(0, state.size))
-                    state.apply_swap(pos, int(candidate), int(ctx.ranks[candidate]))
+                    rank = int(ctx.ranks[candidate])
+                    delta = swap_delta_matrix(ctx.ranks, state.members, [rank])[0, pos]
+                    state.apply_swap(pos, int(candidate), rank, int(delta))
                     fresh = _SwapEmd(ctx, state.members)
                     for name in ("ranks", "_sorted", "_gd", "_gu", "_values", "_thr"):
                         assert np.array_equal(getattr(state, name), getattr(fresh, name))
@@ -133,7 +141,7 @@ class TestGenerateCluster:
                     assert state.emd == fresh.emd
                     down, up = swap_prefix_sums(ctx, ctx.ranks[state.members])
                     want = list(zip(down.tolist(), up.tolist()))
-                    assert [state._at(x) for x in range(ctx.m + 1)] == want
+                    assert swap_down_up(state) == want
 
     def test_refuses_a_zero_gain_swap(self):
         # a float scorer read this cluster's EMD as 0.09523809523809525, one
@@ -144,7 +152,7 @@ class TestGenerateCluster:
         conf = t.confidential_column()
         assert emd_numerator(conf, [5, 6, 4]) == emd_numerator(conf, [0, 6, 4]) == 16
         state = _SwapEmd(ctx, np.array([5, 6, 4]))
-        assert state.first_swap(ctx.ranks[[0]]) == (-1, -1)
+        assert state.first_swap(ctx.ranks[[0]]) == (-1, -1, 0)
         got = generate(5, np.arange(8), t, 3, 0.0)
         x = normalized_qi(t, minmax_params(t))
         want = scan_generate_cluster(5, np.arange(8), x, ctx, 3, 0.0)
@@ -215,7 +223,7 @@ class TestRunKfirst:
         for k, tau in [(2, 0.25), (2, 0.05), (5, 0.1)]:
             anon, part, report = run_kfirst_algorithm(t, k, tau)
             assert verify_k_anonymity(anon, k).ok
-            assert verify_t_closeness(t, part, tau).ok
+            assert verify_t_closeness(t, anon, tau).ok
             assert report.k_min_actual >= k
 
     def test_vacuous_tau_no_merging(self):

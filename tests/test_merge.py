@@ -6,6 +6,7 @@ from tcmicro import (
     Partition,
     SynthConfig,
     TableEmd,
+    aggregate,
     mdav_partition,
     merge_until_tclose,
     minmax_params,
@@ -92,7 +93,7 @@ class TestMergeUntilTclose:
         part = mdav_partition(t, minmax_params(t), 2)
         for tau in (0.05, 0.1, 0.2):
             out = merge(t, part, tau)
-            assert verify_t_closeness(t, out, tau).ok
+            assert verify_t_closeness(t, aggregate(t, out), tau).ok
 
     @pytest.mark.parametrize("name, top, tied, first_pair", [
         ("dup-rows", 1 / 14, [4, 5, 6, 7, 8, 9, 10, 11], [4, 6]),
@@ -142,7 +143,7 @@ class TestRunMerge:
             anon, part, report = run_merge_algorithm(t, k, tau)
             assert report.k_min_actual >= k
             assert verify_k_anonymity(anon, k).ok
-            assert verify_t_closeness(t, part, tau).ok
+            assert verify_t_closeness(t, anon, tau).ok
 
     def test_merge_count_bound(self):
         t = small_table(100, 3)

@@ -7,6 +7,7 @@ from tcmicro import (
     Cluster,
     Partition,
     SynthConfig,
+    TableEmd,
     aggregate,
     cluster_size_stats,
     mdav_partition,
@@ -16,7 +17,6 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
-from tcmicro.metrics import TAU_SLACK
 from oracles import Distribution, emd_ordered, transport_oracle_emd
 from util import make_1d_table, make_ranks_table
 
@@ -95,28 +95,42 @@ class TestVerifyTCloseness:
     def test_single_cluster_passes_any_tau(self):
         t = make_ranks_table(12)
         part = Partition((Cluster(np.arange(12)),), 12)
-        assert verify_t_closeness(t, part, 0.0).ok
+        assert verify_t_closeness(t, aggregate(t, part), 0.0).ok
 
     def test_halves_of_six_fail_at_point_two(self):
         t = make_ranks_table(6)
         part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
-        check = verify_t_closeness(t, part, 0.2)
+        check = verify_t_closeness(t, aggregate(t, part), 0.2)
         assert not check.ok
         assert check.max_emd == pytest.approx(0.3, abs=1e-12)  # by cumulative sums
 
     def test_reports_worst_cluster(self):
         t = make_ranks_table(8)
         part = Partition((Cluster([0, 1]), Cluster([2, 3, 4, 5]), Cluster([6, 7])), 8)
-        check = verify_t_closeness(t, part, 0.05)
+        check = verify_t_closeness(t, aggregate(t, part), 0.05)
         worst = check.worst_cluster
         assert worst in (0, 2)  # the tail pairs are the farthest from uniform
 
-    def test_slack_is_respected(self):
+    def test_no_slack_above_tau(self):
+        # the check is emd <= tau on the kernel's EMD, with no allowance
         t = make_ranks_table(6)
         part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
-        assert verify_t_closeness(t, part, 0.3).ok
-        assert not verify_t_closeness(t, part, 0.3 - 1e-6).ok
-        assert verify_t_closeness(t, part, 0.3 - TAU_SLACK / 2).ok
+        anon = aggregate(t, part)
+        assert verify_t_closeness(t, anon, 0.3).ok
+        assert not verify_t_closeness(t, anon, 0.3 - 1e-6).ok
+        assert not verify_t_closeness(t, anon, 0.3 - 0.5e-9).ok
+
+    def test_groups_unsorted_ids_with_gaps(self):
+        # classes are the rows sharing a cluster id, whatever the ids' order
+        # or gaps, and the worst class is named by its id, not its position
+        t = make_ranks_table(8)
+        ids = np.array([7, 2, 7, 9, 2, 2, 40, 7])
+        check = verify_t_closeness(t, AnonymizedTable(t, ids), 0.3)
+        ctx = TableEmd(t)
+        emds = [ctx.cluster_emd(g) for g in ([1, 4, 5], [0, 2, 7], [3], [6])]
+        assert check.max_emd == max(emds) == emds[3]
+        assert check.worst_cluster == 40
+        assert not check.ok
 
 
 class TestTransportOracle:

@@ -3,10 +3,17 @@ columns, duplicate rows, negative values, n just above k, k == n and tiny t.
 
 Every pipeline's release must be k-anonymous and t-close on the equivalence
 classes it actually publishes (rows with equal QI values), and invalid k or
-tau must raise ValueError and nothing else. Utility is not asserted.
+tau must raise ValueError and nothing else. A release written by the CLI must
+pass the CLI's verify at its t and fail it just below its worst EMD. Utility
+is not asserted.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +24,11 @@ from tcmicro import (
     AttributeSpec,
     Role,
     Table,
+    cli,
     run_kfirst_algorithm,
     run_merge_algorithm,
     run_tfirst_algorithm,
+    write_csv,
 )
 
 PIPELINES = [run_merge_algorithm, run_kfirst_algorithm, run_tfirst_algorithm]
@@ -76,6 +85,37 @@ def test_published_classes_are_k_anonymous_and_t_close(data, k, extra, tau):
             members = np.flatnonzero(classes.ravel() == c)
             assert members.size >= k, run.__name__
             assert emd_to_table(conf, members) <= tau + 1e-9, run.__name__
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    k=st.integers(2, 6),
+    extra=st.one_of(st.just(0), st.just(1), st.integers(0, 18)),
+    tau=st.one_of(st.just(1e-6), st.floats(1e-3, 0.6)),
+)
+def test_cli_release_verifies_at_t_and_fails_just_below_its_worst_emd(data, k, extra, tau):
+    table = data.draw(tables(n=st.just(k + extra)))
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        write_csv(table, d / "data.csv")
+        (d / "roles.cfg").write_text(
+            "".join(f"{spec.name}={spec.role.value}\n" for spec in table.specs))
+        files = ["--input", str(d / "data.csv"), "--roles", str(d / "roles.cfg")]
+        release = ["--anonymized", str(d / "anon.csv"), "--k", str(k)]
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main([*argv, *files])
+
+        for algorithm in sorted(cli.ALGORITHMS):
+            assert run("anonymize", "--algorithm", algorithm, "--k", str(k), "--t", repr(tau),
+                       "--output", str(d / "anon.csv"), "--report", str(d / "run.json")) == 0
+            assert run("verify", *release, "--t", repr(tau)) == 0, algorithm
+            worst = json.loads((d / "run.json").read_text())["max_cluster_emd"]
+            if worst > 0:
+                below = repr(worst * (1 - 1e-12))
+                assert run("verify", *release, "--t", below) == cli.EXIT_VERIFY, algorithm
 
 
 bad_k = st.one_of(

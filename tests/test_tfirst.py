@@ -137,7 +137,7 @@ class TestRunTfirst:
     def test_table3_sweep_k2(self, mcd_table):
         expect = {0.01: 49, 0.05: 10, 0.09: 6, 0.13: 4, 0.17: 3, 0.21: 3, 0.25: 2}
         for tau, size in expect.items():
-            _, part, report = run_tfirst_algorithm(mcd_table, 2, tau)
+            anon, part, report = run_tfirst_algorithm(mcd_table, 2, tau)
             assert report.k_min_actual == size
             if 1080 % size == 0:
                 assert report.k_avg_actual == size
@@ -145,7 +145,7 @@ class TestRunTfirst:
                 # 1080 = 22*49 + 2: two clusters carry one extra record each
                 assert round(report.k_avg_actual) == size
                 assert sorted(part.sizes()).count(size + 1) == 1080 % size
-            assert verify_t_closeness(mcd_table, part, tau).ok
+            assert verify_t_closeness(mcd_table, anon, tau).ok
 
     def test_k_dominates(self, mcd_table):
         _, _, report = run_tfirst_algorithm(mcd_table, 20, 0.09)
@@ -170,7 +170,7 @@ class TestRunTfirst:
         t = small_table(101, 11)
         for k, tau in [(2, 0.2), (3, 0.07), (4, 0.12)]:
             anon, part, report = run_tfirst_algorithm(t, k, tau)
-            assert verify_t_closeness(t, part, tau).ok
+            assert verify_t_closeness(t, anon, tau).ok
             assert verify_k_anonymity(anon, k).ok
             assert report.k_min_actual >= k
 

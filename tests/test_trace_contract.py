@@ -1,8 +1,10 @@
-"""The names bench/spans.py patches in the pipeline modules still feed it.
+"""The names bench/spans.py patches in the pipeline and cli modules still
+feed it.
 
-The benchmark tracer wraps module-level names in each pipeline module; a step
-that binds one of them at import time, or a module that stops importing one,
-silently empties a per-layer metric or breaks the tracer's install.
+The benchmark tracer wraps module-level names in each pipeline module and in
+cli; a step that binds one of them at import time, or a module that stops
+importing one, silently empties a per-layer metric or breaks the tracer's
+install.
 """
 
 import sys
@@ -51,3 +53,23 @@ def test_pipeline_spans_and_merge_parent(algorithm, synth_files, tmp_path):
     merge_span = next(s for s in tracer.spans if s.name == "merge.merge_until_tclose")
     parent = tracer.spans[merge_span.parent].name
     assert parent == f"{algorithm}.run_{algorithm}_algorithm"
+
+
+def test_verify_spans(synth_files, tmp_path):
+    data, roles = synth_files
+    anon = tmp_path / "anon.csv"
+    assert cli.main(["anonymize", "--input", str(data), "--roles", str(roles),
+                     "--algorithm", "tfirst", "--k", "2", "--t", "0.1",
+                     "--output", str(anon), "--report", str(tmp_path / "report.json")]) == 0
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(["verify", "--input", str(data), "--anonymized", str(anon),
+                       "--roles", str(roles), "--k", "2", "--t", "0.1"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    names = [span.name for span in tracer.spans]
+    for name in ("dataset.load_csv", "dataset.load_anonymized_csv",
+                 "metrics.verify_k_anonymity", "metrics.verify_t_closeness"):
+        assert names.count(name) == 1, (name, names)

@@ -27,6 +27,17 @@ def swap_paths(tabulate: bool, loop: bool):
         yield
 
 
+def swap_down_up(state) -> list[tuple[int, int]]:
+    """(down(x), up(x)) of a kfirst swap state at every rank x in 0..m, read
+    from its sorted member ranks, offsets gd and gu and swap sums F."""
+    x = np.arange(state.ctx.m + 1)
+    p = state._sorted.searchsorted(x)
+    f = state._pairs(p, x)
+    down = np.asarray(state._gd)[p] + f[:, 0]
+    up = np.asarray(state._gu)[p] - f[:, 1]
+    return list(zip(down.tolist(), up.tolist()))
+
+
 def make_1d_table(qi_values, conf_values) -> Table:
     specs = (
         AttributeSpec("x", Role.QUASI_IDENTIFIER),
