@@ -168,11 +168,14 @@ class SwapSums:
         n = self._n = emd.n
         self.s = s
         self._sb = emd._sb
-        # row p holds beta = p - 1, p, p + 1, for p in 0..s
+        # row p holds beta = p - 1, p, p + 1, for p in 0..s; in the views
+        # of width 4, row i holds beta = i - 1..i + 2, for i in 0..s - 1
         beta = np.arange(-1, s + 2)
+        t, nbeta = emd._b.searchsorted(-(-n * beta // s)), n * beta
         window = np.lib.stride_tricks.sliding_window_view
-        self._t = window(emd._b.searchsorted(-(-n * beta // s)), 3).copy()
-        self._nbeta = window(n * beta, 3).copy()
+        self._t, self._nbeta = window(t, 3).copy(), window(nbeta, 3).copy()
+        self._t4, self._nbeta4 = window(t, 4), window(nbeta, 4)
+        self._regimes = np.arange(s)
         self.table = None
         if (s + 1) * (emd.m + 1) > _MAX_TABLE_ROWS:
             return
@@ -191,17 +194,28 @@ class SwapSums:
         """(F[p, x], F[p + 1, x]) in each row, for regimes p in 0..s and
         ranks x in 0..m, one-dimensional int64 arrays of one length."""
         if self.table is None:
-            return self._evaluate(p, x)
+            return self._evaluate(self._t.take(p, axis=0), self._nbeta.take(p, axis=0), x)
         rows = x * (self.s + 1)
         rows += p
         return self.table.take(rows, axis=0)
 
-    def _evaluate(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """pairs from the breakpoints."""
-        u = np.minimum(self._t.take(p, axis=0), x[:, None])
+    def triples(self, x: np.ndarray) -> np.ndarray:
+        """(F[i, x_i], F[i + 1, x_i], F[i + 2, x_i]) in row i, for the s
+        ranks x_i of a cluster's sorted members; in closed form, one
+        evaluation over the breakpoints beta = i - 1..i + 2."""
+        if self.table is None:
+            return self._evaluate(self._t4, self._nbeta4, x)
+        rows = x * (self.s + 1)
+        rows += self._regimes
+        return np.concatenate([self.table.take(rows, axis=0), self.table[rows + 1, 1:]], axis=1)
+
+    def _evaluate(self, t: np.ndarray, nbeta: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """F at each row's rank x, for the regimes between consecutive
+        columns of that row's breakpoints t and n beta."""
+        u = np.minimum(t, x[:, None])
         h = self._sb.take(u)
         h *= self.s
-        h -= self._nbeta.take(p, axis=0) * u
+        h -= nbeta * u
         f = h[:, 1:] - h[:, :-1]
         f *= 2
         f += (self._n * x)[:, None]

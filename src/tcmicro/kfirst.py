@@ -52,9 +52,8 @@ class _SwapEmd:
         self.ranks = ctx.ranks[self.members]
         self.size = s = self.members.size
         sums = ctx.swap_sums(s)
-        self._pairs = sums.pairs
+        self._pairs, self._triples = sums.pairs, sums.triples
         self._item = sums.table.item if s <= _LOOP_SIZE and sums.table is not None else None
-        self._regimes = np.arange(s + 1)
         self._never = -ctx.n * (ctx.m + 1)
         self.d = ctx._numerator(np.sort(self.ranks))
         self._set_emd()
@@ -89,12 +88,11 @@ class _SwapEmd:
             return
         order = self.ranks.argsort()
         self._sorted = r = self.ranks[order]
-        f = self._pairs(self._regimes[:-1], r)
-        f2 = self._pairs(self._regimes[1:], r)[:, 1]
+        f = self._triples(r)
         self._gd = gd = np.zeros(s + 1, dtype=np.int64)
         self._gu = gu = np.zeros(s + 1, dtype=np.int64)
         np.add.accumulate(f[:, 0] - f[:, 1], out=gd[1:])
-        np.add.accumulate(f2 - f[:, 1], out=gu[1:])
+        np.add.accumulate(f[:, 2] - f[:, 1], out=gu[1:])
         values = np.empty((s, 2), dtype=np.int64)
         down, up = values.T
         np.add(gd[:-1], f[:, 0], out=down)
@@ -206,7 +204,11 @@ def kfirst_partition(
     t-close yet (see run_kfirst_algorithm)."""
     check_params(table.n, k, tau)
     x = normalized_qi(table, params)
-    return seeded_partition(x, lambda seed, pool, d: generate_cluster(seed, pool, d, ctx, k, tau))
+
+    def build(seed, ids, alive, dist):
+        return generate_cluster(seed, ids[alive], dist[alive], ctx, k, tau)
+
+    return seeded_partition(x, build)
 
 
 def run_kfirst_algorithm(

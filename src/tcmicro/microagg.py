@@ -3,6 +3,7 @@ centroid aggregation into an anonymized release."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,12 @@ def partition_from_arrays(member_arrays, n: int) -> Partition:
 
 def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
     """QI matrix mapped into [0, 1] per attribute with the given min/max;
-    degenerate attributes (min == max) map to 0."""
-    return params.scaled(table.qi_matrix() - params.mins)
+    degenerate attributes (min == max) map to 0. A QI whose range max - min
+    overflows float64 is rejected, since its values would map to nan."""
+    x = params.scaled(table.qi_matrix() - params.mins)
+    if not np.isfinite(x).all():
+        raise ValueError("a QI's range (max - min) overflows float64; rescale that column")
+    return x
 
 
 def sq_distances(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
@@ -104,13 +109,85 @@ def _pairwise_sum(cols: np.ndarray, point: np.ndarray, lo: int, hi: int) -> np.n
     return total
 
 
-def _record_mean(cols: np.ndarray) -> np.ndarray:
-    """Mean record of an attribute-major copy, bit-identical to
-    rows.mean(axis=0): numpy accumulates that mean record by record, except
-    for a single attribute, whose one contiguous column it sums pairwise."""
-    if cols.shape[0] == 1:
-        return cols.sum(axis=1) / cols.shape[1]
-    return np.cumsum(cols, axis=1)[:, -1] / cols.shape[1]
+# every finite float64 is an integer multiple of 2**-_SCALE: frexp's 53-bit
+# integer mantissa of the smallest subnormal, 2**-1074, carries the exponent
+# -1126, and no float's carries a lower one
+_SCALE = 1126
+# one key per (attribute, mantissa exponent): the exponents span
+# -_SCALE..971, shifted here to 0.._SHIFTS - 1
+_SHIFTS = 2098
+_HALF = 26
+_MANTISSA = float(1 << 53)
+# a block of at most this many values is summed value by value in Python
+# ints, a larger one grouped by exponent in numpy: on a 2-core Xeon VM
+# (Python 3.11, numpy 2.4) the two cost about the same, 30 us, near 80 values
+_LOOP_VALUES = 64
+_BLOCK_ROWS = 4096
+
+
+def _exact_sums(rows: np.ndarray) -> list[int]:
+    """Each column's exact sum over rows, times 2**_SCALE, as a Python int.
+
+    A value is a 53-bit integer mantissa times a power of two. In numpy, the
+    mantissas sharing a column and an exponent are summed in int64, in two
+    halves of at most 27 bits so that no sum of fewer than 2**36 of them
+    overflows, and only those group sums are shifted into Python ints."""
+    if rows.size <= _LOOP_VALUES:
+        sums = []
+        for col in rows.T.tolist():
+            total = 0
+            for v in col:
+                frac, exp = math.frexp(v)
+                total += int(frac * _MANTISSA) << (exp + _SCALE - 53)
+            sums.append(total)
+        return sums
+    q = rows.shape[1]
+    frac, exp = np.frexp(rows)
+    exp += _SCALE - 53 + _SHIFTS * np.arange(q)
+    mant = (frac * _MANTISSA).astype(np.int64).ravel()
+    keys = exp.ravel()
+    order = keys.argsort()
+    keys, mant = keys.take(order), mant.take(order)
+    starts = np.flatnonzero(keys[1:] != keys[:-1])
+    starts = np.concatenate(([0], starts + 1))
+    high = np.add.reduceat(mant >> _HALF, starts).tolist()
+    low = np.add.reduceat(mant & ((1 << _HALF) - 1), starts).tolist()
+    sums = [0] * q
+    for key, h, lo in zip(keys.take(starts).tolist(), high, low):
+        col, shift = divmod(key, _SHIFTS)
+        sums[col] += ((h << _HALF) + lo) << shift
+    return sums
+
+
+class _PoolMean:
+    """Mean record of the rows of x still in a shrinking pool: each attribute's
+    sum is held exactly, in units of 2**-_SCALE, so each mean is the correctly
+    rounded quotient of two integers (Python's int / int is). Rows that leave
+    through remove are subtracted at the next mean, all at once."""
+
+    def __init__(self, x: np.ndarray):
+        self._x = x
+        # summed a block of rows at a time, so the temporaries stay small
+        blocks = (_exact_sums(x[i : i + _BLOCK_ROWS]) for i in range(0, x.shape[0], _BLOCK_ROWS))
+        self._sums = [sum(col) for col in zip(*blocks)]
+        self._size = x.shape[0]
+        self._gone: list[np.ndarray] = []
+
+    def remove(self, rows: np.ndarray) -> None:
+        self._gone.append(rows)
+
+    def mean(self) -> np.ndarray:
+        if self._gone:
+            gone = np.concatenate(self._gone)
+            self._gone.clear()
+            self._size -= gone.size
+            self._sums = [s - g for s, g in zip(self._sums, _exact_sums(self._x[gone]))]
+        unit = self._size << _SCALE
+        return np.array([s / unit for s in self._sums])
+
+
+# the working width is compacted once 1/_DEAD_SHARE of its slots are dead
+_DEAD_SHARE = 8
 
 
 def seeded_partition(x: np.ndarray, build) -> Partition:
@@ -118,29 +195,55 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
     seeding.
 
     Seeds alternate between the unassigned record farthest from the average of
-    the unassigned records and the unassigned record farthest from the
-    previous seed; ties break toward the lowest record index. For each seed,
-    build(seed, pool, dist) returns the members of its cluster, drawn from the
-    ascending array pool of unassigned records; they leave the pool, and
-    seeding continues until the pool is empty. dist[i] is the squared
-    distance from the seed to x[pool[i]], computed once per seed; its entries
-    for the records left over give the next farthest-from-previous-seed pick,
-    so build may read it but not change it.
+    the unassigned records (each attribute's exact mean, correctly rounded)
+    and the unassigned record farthest from the previous seed; ties break
+    toward the lowest record index. For each seed, build(seed, ids, alive,
+    dist) returns the members of its cluster, drawn from the unassigned
+    records; they leave the pool, and seeding continues until the pool is
+    empty. ids is an ascending array of record indices, alive marks its
+    unassigned slots, and dist[i] is the squared distance from the seed to
+    x[ids[i]], +inf where alive is False; build may read them during the
+    call but not change them.
+
+    The slots hold an attribute-major copy of their records' QI rows, which
+    read +inf once the record is assigned, so every distance row is +inf
+    there too. Dead slots read -inf in the farthest-point picks, so no
+    record is gathered per cluster; the slots are compacted only once
+    1/_DEAD_SHARE of them are dead. A seed's row is computed once and also
+    gives the next farthest-from-previous-seed pick.
     """
-    pool = np.arange(x.shape[0])
-    cols = np.ascontiguousarray(x.T)
+    ids = np.arange(x.shape[0])
+    cols = x.T.copy()  # attribute-major, and never a view of x
+    alive = np.ones(ids.size, dtype=bool)
+    dead, gone = np.empty_like(ids), 0  # dead[:gone]: the dead slots
+    pool = _PoolMean(x)
     groups: list[np.ndarray] = []
-    from_prev = None  # the previous seed's dist, when the next pick is farthest from it
-    while pool.size:
-        far = sq_distances(cols, _record_mean(cols)) if from_prev is None else from_prev
-        seed = int(pool[np.argmax(far)])
+    from_prev = None  # the previous seed's row, when the next pick is farthest from it
+    while gone < ids.size:
+        far = from_prev
+        if far is None:
+            far = sq_distances(cols, pool.mean())
+            far[dead[:gone]] = -np.inf
+        seed = int(ids[far.argmax()])
         dist = sq_distances(cols, x[seed])
-        members = build(seed, pool, dist)
+        members = build(seed, ids, alive, dist)
         groups.append(members)
-        keep = np.ones(pool.size, dtype=bool)
-        keep[np.searchsorted(pool, members)] = False
-        pool, cols = pool[keep], cols.compress(keep, axis=1)
-        from_prev = dist[keep] if from_prev is None else None
+        pool.remove(members)
+        slots = ids.searchsorted(members)
+        alive[slots] = False
+        cols[:, slots] = np.inf
+        dead[gone : gone + slots.size] = slots
+        gone += slots.size
+        if from_prev is None:
+            from_prev = dist
+            from_prev[dead[:gone]] = -np.inf
+        else:
+            from_prev = None
+        if gone < ids.size and _DEAD_SHARE * gone >= ids.size:
+            ids, cols = ids[alive], cols.compress(alive, axis=1)
+            if from_prev is not None:
+                from_prev = from_prev[alive]
+            alive, gone = np.ones(ids.size, dtype=bool), 0
     return partition_from_arrays(groups, x.shape[0])
 
 
@@ -164,8 +267,10 @@ def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partiti
     """
     check_params(table.n, k)
 
-    def build(seed: int, pool: np.ndarray, dist: np.ndarray) -> np.ndarray:
-        return pool if pool.size < 2 * k else pool[_k_smallest(dist, k)]
+    def build(seed: int, ids: np.ndarray, alive: np.ndarray, dist: np.ndarray) -> np.ndarray:
+        if np.count_nonzero(alive) < 2 * k:
+            return ids[alive]
+        return ids[_k_smallest(dist, k)]
 
     return seeded_partition(normalized_qi(table, params), build)
 

@@ -130,8 +130,8 @@ def run_tfirst_algorithm(
         ranked = split_subsets(table, adjust_cluster_size(n, required_cluster_size(n, k, tau)))
         drec = np.full(n + 1, np.inf)  # dist by record; the last slot stays +inf
 
-        def build(seed, pool, dist):
-            drec[pool] = dist
+        def build(seed, ids, alive, dist):
+            drec[ids] = dist
             return build_cluster(ranked, drec)
 
         return seeded_partition(normalized_qi(table, params), build)

@@ -1,5 +1,5 @@
-"""Reference code the tests compare the package against: explicit
-distributions over an ordered support, the cumulative-mass EMD formula, a
+"""Reference code the tests compare the package against: the exact mean
+record summed in Fractions, explicit distributions over an ordered support, the cumulative-mass EMD formula, a
 mass-moving transport oracle, the integer EMD numerator summed over every
 rank, the closed-form upper bound for clusters built one record per subset,
 the one-candidate-at-a-time kfirst swap loop on recounted integer numerators,
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -23,6 +24,12 @@ from tcmicro.metrics import KAnonymityCheck
 from tcmicro.microagg import normalized_qi, partition_from_arrays, sq_distances
 
 MASS_TOLERANCE = 1e-12
+
+
+def fraction_mean(rows: np.ndarray) -> np.ndarray:
+    """Each column's mean over rows, summed exactly in Fractions and rounded
+    once to the nearest float."""
+    return np.array([float(sum(map(Fraction, col)) / len(col)) for col in rows.T.tolist()])
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ code they replaced, and the block-scored kfirst swap search against its rule
 as written (one candidate at a time, every trial swap's integer EMD numerator
 recounted), kept here (or in oracles.py) as reference oracles.
 
-The squared-distance helper and the compacted anchor must match numpy's
-row-major reductions bit for bit, and the partitions must be identical,
-cluster order included.
+The squared-distance helper must match numpy's row-major reductions bit for
+bit, the seeding's average must be the exact mean summed in Fractions and
+rounded once, and the partitions must be identical, cluster order included.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -35,10 +36,12 @@ from tcmicro import (
     verify_k_anonymity,
 )
 from tcmicro.kfirst import _SwapEmd
-from tcmicro.microagg import _record_mean, partition_from_arrays, seeded_partition, sq_distances
+import tcmicro.microagg
+from tcmicro.microagg import _PoolMean, partition_from_arrays, seeded_partition, sq_distances
 from oracles import (
     emd_numerator,
     exact_emd,
+    fraction_mean,
     list_merge_until_tclose,
     scan_generate_cluster,
     swap_delta_matrix,
@@ -46,20 +49,29 @@ from oracles import (
     swap_sums_matrix,
     unique_verify_k_anonymity,
 )
-from util import SWAP_PATH_IDS, SWAP_PATHS, same_bits, swap_down_up, swap_paths
+from util import (
+    SWAP_PATH_IDS,
+    SWAP_PATHS,
+    numpy_rebuild_sides,
+    same_bits,
+    swap_down_up,
+    swap_paths,
+    swap_state,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 def oracle_seeding(x: np.ndarray, build) -> list[np.ndarray]:
     """MDAV's alternating farthest-point seeding over an alive mask, with the
-    pool's rows gathered afresh for every seed."""
+    pool's rows gathered afresh for every seed and their average summed in
+    Fractions."""
     alive = np.ones(x.shape[0], dtype=bool)
     groups = []
     prev = None
     while alive.any():
         pool = np.flatnonzero(alive)
-        anchor = x[pool].mean(axis=0) if prev is None else x[prev]
+        anchor = fraction_mean(x[pool]) if prev is None else x[prev]
         seed = int(pool[int(np.argmax(((x[pool] - anchor) ** 2).sum(axis=1)))])
         members = build(seed, pool)
         alive[members] = False
@@ -120,8 +132,8 @@ def tfirst_groups(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
     ranked = split_subsets(table, k)
     drec = np.full(table.n + 1, np.inf)
 
-    def build(seed, pool, dist):
-        drec[pool] = dist
+    def build(seed, ids, alive, dist):
+        drec[ids] = dist
         return build_cluster(ranked, drec)
 
     part = seeded_partition(x, build)
@@ -175,10 +187,115 @@ class TestRecordMean:
     @pytest.mark.parametrize("kind", ["random", "tied"])
     @pytest.mark.parametrize("q", QS)
     def test_matches_row_mean_bit_for_bit(self, q, kind):
-        x = data(kind, 5000, q, 50 + q)
-        pool = np.flatnonzero(np.random.default_rng(q).random(5000) < 0.7)
-        for rows in (pool, pool[:1], pool[:9], pool[:130]):
-            assert same_bits(_record_mean(np.ascontiguousarray(x[rows].T)), x[rows].mean(axis=0))
+        # the seeding's mean record is the rows' exact mean rounded once, on
+        # the whole table and as the pool shrinks to nested subsets, the
+        # rows leaving in two batches per step
+        x = data(kind, 150, q, 50 + q)
+        pool = np.flatnonzero(np.random.default_rng(q).random(150) < 0.7)
+        mean = _PoolMean(x)
+        assert same_bits(mean.mean(), fraction_mean(x))
+        left = np.arange(150)
+        for rows in (pool, pool[:60], pool[:9], pool[:1]):
+            gone = np.setdiff1d(left, rows)
+            mean.remove(gone[::2])
+            mean.remove(gone[1::2])
+            assert same_bits(mean.mean(), fraction_mean(x[rows]))
+            left = rows
+
+
+# zeros, subnormals, the smallest normal, one ulp below 1 and 1
+SPECIAL_CELLS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+
+
+@st.composite
+def unit_rows(draw):
+    """Rows of 1 to 10 values in [0, 1], as normalized QIs are, drawn from a
+    few distinct rows, so values tie and rows repeat."""
+    q = draw(st.integers(1, 10))
+    cell = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(0.0, 1.0))
+    distinct = draw(st.lists(st.lists(cell, min_size=q, max_size=q), min_size=1, max_size=8))
+    n = draw(st.integers(1, 60))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    return np.array([distinct[i] for i in picks])
+
+
+@SETTINGS
+@given(unit_rows(), st.data())
+def test_pool_mean_is_the_fraction_mean(x, data):
+    # before and after each removal, down to one row; removals of a few
+    # values and of many take both ways of summing exactly, and the first
+    # sums are built in blocks of rows of any size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tcmicro.microagg, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 7, 4096])))
+        mean = _PoolMean(x)
+    left = np.arange(x.shape[0])
+    while True:
+        assert same_bits(mean.mean(), fraction_mean(x[left]))
+        if left.size == 1:
+            break
+        gone = data.draw(st.lists(st.sampled_from(left.tolist()), min_size=1,
+                                  max_size=left.size - 1, unique=True))
+        mean.remove(np.array(gone))
+        left = np.setdiff1d(left, gone)
+
+
+def lazy_mdav(x: np.ndarray, k: int, watch: bool = False):
+    """seeded_partition with MDAV's build as a stable argsort over the whole
+    slot width, returning the groups, the slot width each build saw and,
+    when watched, how many picks from the average and from the previous seed
+    had a dead slot farther than every live one."""
+    widths, stale, seeds = [], [0, 0], []
+
+    def build(seed, ids, alive, dist):
+        widths.append(ids.size)
+        from_prev = len(seeds) % 2
+        if watch and not alive.all():
+            anchor = x[seeds[-1]] if from_prev else fraction_mean(x[ids[alive]])
+            d = ((x[ids] - anchor) ** 2).sum(axis=1)
+            stale[from_prev] += d[~alive].max() > d[alive].max()
+        seeds.append(seed)
+        if np.count_nonzero(alive) < 2 * k:
+            return ids[alive]
+        return np.sort(ids[np.argsort(dist, kind="stable")[:k]])
+
+    part = seeded_partition(x, build)
+    return [c.members for c in part.clusters], widths, stale
+
+
+def lazy_case(name: str) -> np.ndarray:
+    if name == "ranks":
+        return np.arange(300.0)[:, None] / 299
+    if name == "synth":
+        table = synth_generate(SynthConfig(n=257, qi_count=2, target_correlation=0.52, seed=8))
+        return normalized_qi(table, minmax_params(table))
+    return data("tied", 240, 3, 12)
+
+
+@pytest.mark.parametrize("name", ["ranks", "synth", "tied"])
+def test_lazy_compaction_matches_oracle_seeding(name):
+    # k = 2 over a few hundred records compacts many times; on evenly
+    # spaced points the extremes go first, so dead records lie farther from
+    # the average and from the previous seed than any live one
+    x = lazy_case(name)
+    got, widths, stale = lazy_mdav(x, 2, watch=True)
+    assert_same_groups(got, oracle_mdav(x, 2))
+    assert np.count_nonzero(np.diff(widths)) > 5
+    if name == "ranks":
+        assert min(stale) > 0
+
+
+@pytest.mark.parametrize("n", [256, 2048])
+def test_compactions_grow_with_log_n(n):
+    # ids, alive, the distance row and the attribute-major copy shrink
+    # together, so a change in the width a build sees is one compaction;
+    # each drops at least 1/_DEAD_SHARE of the width
+    table = synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=n))
+    got, widths, _ = lazy_mdav(normalized_qi(table, minmax_params(table)), 2)
+    compactions = np.count_nonzero(np.diff(widths))
+    bound = math.log(n) / -math.log1p(-1 / tcmicro.microagg._DEAD_SHARE) + 1
+    assert len(got) == n // 2
+    assert 0 < compactions <= bound
+    assert compactions < len(got) / 4
 
 
 @st.composite
@@ -235,10 +352,10 @@ def kfirst_groups(table: Table, k: int, tau: float, scan: bool = False) -> list[
     x = normalized_qi(table, minmax_params(table))
     ctx = TableEmd(table)
 
-    def build(seed, pool, dist):
+    def build(seed, ids, alive, dist):
         if scan:
-            return scan_generate_cluster(seed, pool, x, ctx, k, tau)
-        return generate_cluster(seed, pool, dist, ctx, k, tau)
+            return scan_generate_cluster(seed, ids[alive], x, ctx, k, tau)
+        return generate_cluster(seed, ids[alive], dist[alive], ctx, k, tau)
 
     part = seeded_partition(x, build)
     return [c.members for c in part.clusters]
@@ -316,7 +433,8 @@ def test_swap_state_matches_brute_force_deltas(tabulate, loop, case, data):
     # first_swap picks what the brute-force delta matrix picks, with its
     # delta, and after that swap or any other, applied with the matrix's
     # delta, D is the recounted numerator, on every way of reading F and
-    # rebuilding
+    # rebuilding, and the numpy rebuild reads the same state from a table
+    # and from the closed form
     table, k = case
     with swap_paths(tabulate, loop):
         ctx = TableEmd(table)
@@ -342,6 +460,8 @@ def test_swap_state_matches_brute_force_deltas(tabulate, loop, case, data):
             candidate = int(np.flatnonzero(ctx.ranks == block[j])[0])
             state.apply_swap(pos, candidate, int(block[j]), int(deltas[j, pos]))
             assert state.d == emd_numerator(table.confidential_column(), state.members)
+            table_side, closed_side = numpy_rebuild_sides(table, state.members)
+            assert table_side == closed_side == swap_state(state)
 
 
 @SETTINGS

@@ -186,14 +186,14 @@ GOLDEN = {
     "mdav/ties/k2": "7be72b976cbf12fe468a980a1f51bc7047916412d7ededcae50e129a81da3966",
     "merge/ties/k2/t0.05": "9762e36200a085d7a63a8a396c7611fdb71e045278d96107e9926f47ff311498",
     "kfirst/ties/k2/t0.05": "5d402689b5409ea0e0f45306b54fbb46f808de349894e7104ca3d9e0df48c98c",
-    "tfirst/ties/k2/t0.05": "ba616588cf35c0ba7753d7124b0254ee8372f434783aeedd6dbbc7d46a3272c2",
+    "tfirst/ties/k2/t0.05": "d94a26fed4146dac4fa6e028ce0eca0fde8d32c781be0540e9cf8ef4903974fe",
     "merge/ties/k2/t0.2": "18aa5713a97c56a02fd634885a8d8b70f270de21e8b4a2cfb440b1fe28681cec",
     "kfirst/ties/k2/t0.2": "32c2deaef54ec6a2fef62b67fa5926fb6d74cf0c6b3f3748fe62ebc8b77b8d71",
-    "tfirst/ties/k2/t0.2": "214162c649e75a0f72d1c84b9e4261f9a630a19d016f2ca349edf58855cdcbaf",
+    "tfirst/ties/k2/t0.2": "8174a40eba2cb40e9b677fbd057d04b109bc498a9c2f278086b91180f4fa92a4",
     "mdav/ties/k5": "62e4014028569e7afaa9d4c276e323a718ce93433815284269658b677d40d630",
     "merge/ties/k5/t0.05": "d5dd8d55301a1ff9ea9be127846befe1c6377af8e88f3719596b6f03d232b28a",
     "kfirst/ties/k5/t0.05": "4beeb9b199d00ae9f658ba3e187f105c118106e2e75a7677798e4d338b07e9d8",
-    "tfirst/ties/k5/t0.05": "ba616588cf35c0ba7753d7124b0254ee8372f434783aeedd6dbbc7d46a3272c2",
+    "tfirst/ties/k5/t0.05": "d94a26fed4146dac4fa6e028ce0eca0fde8d32c781be0540e9cf8ef4903974fe",
     "merge/ties/k5/t0.2": "a21659068806ef54d0495f71638076799d23d857ff099fac14e05ffc6e8a1a2c",
     "kfirst/ties/k5/t0.2": "b1bc86c96f551dff387738923da101718af90a746931bae5c3eac4dc7ee3eeda",
     "tfirst/ties/k5/t0.2": "fd6a90bb6157808780968b0779ba5b31ae16909618ab7a75055553a1458e944f",
@@ -239,7 +239,7 @@ GOLDEN = {
     "tfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
     "mdav/ties9/k2": "6442e13abd16e0b3b82d0e33dfd893e1577d40c7ce93f7d5effcb0fa71d8cc49",
     "merge/ties9/k2/t0.05": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
-    "kfirst/ties9/k2/t0.05": "d378cd5a3364dfcd545f79c17a4aaf79b8e1a55192fc709c3d72a9a3b67b331f",
+    "kfirst/ties9/k2/t0.05": "976bdd62c3efe1ea6f35fb99c5e8260f65a2f1bb4f087a51f9b6716d29d085b3",
     "tfirst/ties9/k2/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
     "merge/ties9/k2/t0.2": "7d691be7608e68a9ae4154ca3fe52d1718dfcb0c1260f1c10c0f32f223b44758",
     "kfirst/ties9/k2/t0.2": "99d9689e4d2a97618bfdeed9a8a08cdc66653c9785d5e019f102f72a90f35b08",

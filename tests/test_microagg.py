@@ -73,6 +73,15 @@ class TestRecordDistance:
         d = record_distance(t, 0, 1)
         assert d == pytest.approx(np.sqrt(2), abs=1e-12)
 
+    def test_range_overflowing_float64_is_rejected(self):
+        # max - min = 2e308 overflows, so normalizing would give nan, on
+        # which the seeding cannot pick or average
+        t = make_1d_table([1e308, -1e308, 0.0, 5.0], [1, 2, 3, 4])
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflows"):
+            normalized_qi(t, minmax_params(t))
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflows"):
+            run_merge_algorithm(t, 2, 1.0)
+
     def test_symmetry(self):
         t = random_table(10, 2)
         assert record_distance(t, 2, 7) == record_distance(t, 7, 2)
@@ -136,23 +145,29 @@ class TestSeededPartition:
         # from it
         t = make_ranks_table(7)
         x = normalized_qi(t, minmax_params(t))
-        part = seeded_partition(x, lambda seed, pool, _: np.array([seed]))
+        part = seeded_partition(x, lambda seed, ids, alive, dist: np.array([seed]))
         assert [int(c.members[0]) for c in part.clusters] == [0, 6, 1, 5, 2, 4, 3]
 
     def test_build_sees_only_unassigned_records(self):
-        # dist is the seed's row over the pool, bit for bit
+        # ids ascend, alive marks exactly the unassigned records, dead slots
+        # read +inf and live slots are the seed's sq_distances row bit for bit
         t = make_ranks_table(9)
         x = normalized_qi(t, minmax_params(t))
         pools = []
 
-        def build(seed, pool, dist):
-            pools.append(pool.copy())
-            assert same_bits(dist, sq_distances(x[pool].T, x[seed]))
+        def build(seed, ids, alive, dist):
+            assert_row(x, seed, ids, alive, dist)
+            pool = ids[alive]
+            pools.append(pool)
+            assert seed in pool
             return pool[:3]
 
         part = seeded_partition(x, build)
         assert part.sizes() == [3, 3, 3]
         assert [p.size for p in pools] == [9, 6, 3]
+        taken = [set(c.members.tolist()) for c in part.clusters]
+        for pool, before in zip(pools, ([], taken[:1], taken[:2])):
+            assert set(pool.tolist()) == set(range(9)).difference(*before)
 
     @pytest.mark.parametrize(
         "module, run",
@@ -163,18 +178,19 @@ class TestSeededPartition:
         ],
     )
     def test_no_build_modifies_dist(self, monkeypatch, module, run):
-        # the loop reuses dist for the next pick, so a build must leave it
-        # as it came; 5 QIs, and k, t chosen so kfirst swaps and tfirst
-        # places extras
+        # the loop reuses dist for the next pick, so a build must leave it,
+        # ids and alive as they came; 5 QIs, and k, t chosen so kfirst swaps
+        # and tfirst places extras
         t = synth_generate(SynthConfig(n=103, qi_count=5, target_correlation=0.52, seed=4))
-        seeds = []
+        seeds, dead_slots = [], []
 
         def checked(x, build):
-            def wrapped(seed, pool, dist):
-                want = sq_distances(x[pool].T, x[seed])
-                assert same_bits(dist, want)
-                members = build(seed, pool, dist)
-                assert same_bits(dist, want)
+            def wrapped(seed, ids, alive, dist):
+                assert_row(x, seed, ids, alive, dist)
+                dead_slots.append(alive.size - np.count_nonzero(alive))
+                before = [a.copy() for a in (ids, alive, dist)]
+                members = build(seed, ids, alive, dist)
+                assert all(same_bits(a, b) for a, b in zip((ids, alive, dist), before))
                 seeds.append(seed)
                 return members
 
@@ -183,10 +199,20 @@ class TestSeededPartition:
         _, want, _ = run(t, 3, 0.15)
         monkeypatch.setattr(module, "seeded_partition", checked)
         _, got, _ = run(t, 3, 0.15)
-        assert len(seeds) >= 10
+        assert len(seeds) >= 10 and max(dead_slots) > 0
         assert [c.members.tolist() for c in got.clusters] == [
             c.members.tolist() for c in want.clusters
         ]
+
+
+def assert_row(x, seed, ids, alive, dist):
+    """The builder contract: ids ascend, alive and dist align with them,
+    dead slots read +inf and live ones are the seed's squared distances."""
+    assert ids.shape == alive.shape == dist.shape
+    assert np.all(np.diff(ids) > 0)
+    assert alive[np.searchsorted(ids, seed)]
+    assert np.all(dist[~alive] == np.inf)
+    assert same_bits(dist[alive], sq_distances(x[ids[alive]].T, x[seed]))
 
 
 class TestAggregate:

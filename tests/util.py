@@ -11,7 +11,8 @@ from tcmicro import AttributeSpec, Role, Table
 
 # kfirst's swap state reads the swap sums F from a table or evaluates them
 # in closed form, and rebuilds after a swap in numpy or, over a table, in
-# Python ints; cluster size selects the path
+# Python ints; cluster size selects the path, and numpy_rebuild_sides
+# compares the two numpy sides
 SWAP_PATHS = [(True, True), (True, False), (False, False)]
 SWAP_PATH_IDS = ["table-loop", "table-numpy", "closed-numpy"]
 
@@ -36,6 +37,23 @@ def swap_down_up(state) -> list[tuple[int, int]]:
     down = np.asarray(state._gd)[p] + f[:, 0]
     up = np.asarray(state._gu)[p] - f[:, 1]
     return list(zip(down.tolist(), up.tolist()))
+
+
+def swap_state(state) -> tuple:
+    """Everything a kfirst swap state holds after a rebuild, as plain lists."""
+    return tuple(np.asarray(a).tolist() for a in (
+        state.members, state._sorted, state._gd, state._gu, state._thr, state._values,
+    )) + (state.d, state.emd)
+
+
+def numpy_rebuild_sides(table: Table, members) -> list[tuple]:
+    """The swap state of a cluster with these members from the numpy
+    rebuild, once reading a tabulated F and once F in closed form."""
+    sides = []
+    for tabulate in (True, False):
+        with swap_paths(tabulate, loop=False):
+            sides.append(swap_state(tcmicro.kfirst._SwapEmd(tcmicro.emd.TableEmd(table), members)))
+    return sides
 
 
 def make_1d_table(qi_values, conf_values) -> Table:
