@@ -12,7 +12,8 @@ from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
 from .emd import TableEmd, check_params
 from .metrics import RunReport, make_report
 from .microagg import (
-    Partition, aggregate, mdav_partition, normalized_qi, partition_from_arrays, sq_distances,
+    Partition, _exact_mean, _exact_sums, aggregate, mdav_partition, normalized_qi,
+    partition_from_arrays, sq_distances,
 )
 
 
@@ -35,8 +36,8 @@ def merge_until_tclose(
     Every EMD is TableEmd's exact integer formula, so two clusters of equal
     EMD tie bit for bit. One partition_emds call gives the initial EMDs; a
     merge costs one cluster_emd of the merged cluster, O(s log n) for s
-    records, one argmax that is also the tau test and one distance pass over
-    the attribute-major centroids.
+    records, one argmax that is also the tau test, one distance pass over
+    the attribute-major centroids and an O(q) centroid from exact sums.
     """
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
@@ -52,9 +53,11 @@ def merge_until_tclose(
     # One slot per input cluster, in input order. A slot merged away is dead:
     # its EMD is -inf and its centroid +inf, hence its distance too, so argmax
     # and argmin still pick the lowest live slot among ties, as if the dead
-    # slots had been deleted. cols[j] holds attribute j of every centroid.
-    x = normalized_qi(table, params)
-    cols = np.array([x[g].mean(axis=0) for g in groups]).T.copy()
+    # slots had been deleted. cols[j] holds attribute j of every centroid,
+    # each the exact mean of the slot's rows rounded once (see _exact_sums).
+    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    sums = _exact_sums(normalized_qi(table, params)[np.concatenate(groups)], labels)
+    cols = np.array([_exact_mean(s, g.size) for s, g in zip(sums, groups)]).T.copy()
     live = len(groups)
 
     while emds[worst] > tau and live > 1:
@@ -64,7 +67,8 @@ def merge_until_tclose(
         lo, hi = sorted((worst, other))
         merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
         groups[lo], groups[hi] = merged, None
-        cols[:, lo], cols[:, hi] = x[merged].mean(axis=0), np.inf
+        sums[lo], sums[hi] = [a + b for a, b in zip(sums[lo], sums[hi])], None
+        cols[:, lo], cols[:, hi] = _exact_mean(sums[lo], merged.size), np.inf
         emds[lo], emds[hi] = ctx.cluster_emd(merged), -np.inf
         live -= 1
         worst = int(np.argmax(emds))

@@ -125,51 +125,62 @@ _LOOP_VALUES = 64
 _BLOCK_ROWS = 4096
 
 
-def _exact_sums(rows: np.ndarray) -> list[int]:
-    """Each column's exact sum over rows, times 2**_SCALE, as a Python int.
+def _exact_sums(rows: np.ndarray, labels: np.ndarray | None = None) -> list[list[int]]:
+    """Each group's exact column sums over rows, times 2**_SCALE, as Python
+    ints: sums[g][j] for the rows labelled g, or sums[0] for all rows when
+    labels is None.
 
-    A value is a 53-bit integer mantissa times a power of two. In numpy, the
-    mantissas sharing a column and an exponent are summed in int64, in two
-    halves of at most 27 bits so that no sum of fewer than 2**36 of them
-    overflows, and only those group sums are shifted into Python ints."""
-    if rows.size <= _LOOP_VALUES:
-        sums = []
-        for col in rows.T.tolist():
-            total = 0
+    A value is a 53-bit integer mantissa times a power of two. In numpy, a
+    block of rows at a time, the mantissas sharing a group, a column and an
+    exponent are summed in int64, in two halves of at most 27 bits so that no
+    sum of fewer than 2**36 of them overflows, and only those group sums are
+    shifted into Python ints. A block sorts its values by key, so rows passed
+    grouped by label keep each block to a few groups."""
+    q = rows.shape[1]
+    if labels is None and rows.size <= _LOOP_VALUES:
+        sums = [0] * q
+        for j, col in enumerate(rows.T.tolist()):
             for v in col:
                 frac, exp = math.frexp(v)
-                total += int(frac * _MANTISSA) << (exp + _SCALE - 53)
-            sums.append(total)
-        return sums
-    q = rows.shape[1]
-    frac, exp = np.frexp(rows)
-    exp += _SCALE - 53 + _SHIFTS * np.arange(q)
-    mant = (frac * _MANTISSA).astype(np.int64).ravel()
-    keys = exp.ravel()
-    order = keys.argsort()
-    keys, mant = keys.take(order), mant.take(order)
-    starts = np.flatnonzero(keys[1:] != keys[:-1])
-    starts = np.concatenate(([0], starts + 1))
-    high = np.add.reduceat(mant >> _HALF, starts).tolist()
-    low = np.add.reduceat(mant & ((1 << _HALF) - 1), starts).tolist()
-    sums = [0] * q
-    for key, h, lo in zip(keys.take(starts).tolist(), high, low):
-        col, shift = divmod(key, _SHIFTS)
-        sums[col] += ((h << _HALF) + lo) << shift
+                sums[j] += int(frac * _MANTISSA) << (exp + _SCALE - 53)
+        return [sums]
+    sums = [[0] * q for _ in range(1 if labels is None else int(labels.max()) + 1)]
+    for i in range(0, rows.shape[0], _BLOCK_ROWS):
+        frac, exp = np.frexp(rows[i : i + _BLOCK_ROWS])
+        exp += _SCALE - 53 + _SHIFTS * np.arange(q)
+        mant = (frac * _MANTISSA).astype(np.int64).ravel()
+        keys = exp.ravel()
+        if labels is not None:
+            keys = keys + _SHIFTS * q * labels[i : i + _BLOCK_ROWS].repeat(q)
+        order = keys.argsort()
+        keys, mant = keys.take(order), mant.take(order)
+        starts = np.flatnonzero(keys[1:] != keys[:-1])
+        starts = np.concatenate(([0], starts + 1))
+        high = np.add.reduceat(mant >> _HALF, starts).tolist()
+        low = np.add.reduceat(mant & ((1 << _HALF) - 1), starts).tolist()
+        for key, h, lo in zip(keys.take(starts).tolist(), high, low):
+            group, key = divmod(key, _SHIFTS * q)
+            col, shift = divmod(key, _SHIFTS)
+            sums[group][col] += ((h << _HALF) + lo) << shift
     return sums
+
+
+def _exact_mean(sums: list[int], size: int) -> np.ndarray:
+    """The exact mean of size values from their sums, rounded once (Python's
+    int / int is correctly rounded)."""
+    unit = size << _SCALE
+    return np.array([s / unit for s in sums])
 
 
 class _PoolMean:
     """Mean record of the rows of x still in a shrinking pool: each attribute's
     sum is held exactly, in units of 2**-_SCALE, so each mean is the correctly
-    rounded quotient of two integers (Python's int / int is). Rows that leave
-    through remove are subtracted at the next mean, all at once."""
+    rounded quotient of two integers. Rows that leave through remove are
+    subtracted at the next mean, all at once."""
 
     def __init__(self, x: np.ndarray):
         self._x = x
-        # summed a block of rows at a time, so the temporaries stay small
-        blocks = (_exact_sums(x[i : i + _BLOCK_ROWS]) for i in range(0, x.shape[0], _BLOCK_ROWS))
-        self._sums = [sum(col) for col in zip(*blocks)]
+        self._sums = _exact_sums(x)[0]
         self._size = x.shape[0]
         self._gone: list[np.ndarray] = []
 
@@ -181,9 +192,8 @@ class _PoolMean:
             gone = np.concatenate(self._gone)
             self._gone.clear()
             self._size -= gone.size
-            self._sums = [s - g for s, g in zip(self._sums, _exact_sums(self._x[gone]))]
-        unit = self._size << _SCALE
-        return np.array([s / unit for s in self._sums])
+            self._sums = [s - g for s, g in zip(self._sums, _exact_sums(self._x[gone])[0])]
+        return _exact_mean(self._sums, self._size)
 
 
 # the working width is compacted once 1/_DEAD_SHARE of its slots are dead
@@ -276,14 +286,17 @@ def mdav_partition(table: Table, params: NormalizationParams, k: int) -> Partiti
 
 
 def aggregate(table: Table, partition: Partition) -> AnonymizedTable:
-    """Replace each record's QI cells with its cluster centroid, leaving the
-    confidential and ignored cells untouched, and record cluster ids."""
+    """Replace each record's QI cells with its cluster centroid, the exact
+    mean of the cluster's QI rows rounded once, leaving the confidential and
+    ignored cells untouched, and record cluster ids."""
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
-    rows = table.rows.copy()
+    order, sizes = np.concatenate([c.members for c in partition.clusters]), partition.sizes()
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    sums = _exact_sums(table.rows[np.ix_(order, table.qi_indices)], labels)
+    means = np.array([_exact_mean(s, size) for s, size in zip(sums, sizes)])
     ids = np.empty(table.n, dtype=np.int64)
-    qi_idx = np.array(table.qi_indices)
-    for ci, cluster in enumerate(partition.clusters):
-        rows[np.ix_(cluster.members, qi_idx)] = rows[np.ix_(cluster.members, qi_idx)].mean(axis=0)
-        ids[cluster.members] = ci
+    ids[order] = labels
+    rows = table.rows.copy()
+    rows[:, table.qi_indices] = means[ids]
     return AnonymizedTable(Table(table.specs, rows), ids)

@@ -1,12 +1,13 @@
 """Reference code the tests compare the package against: the exact mean
-record summed in Fractions, explicit distributions over an ordered support, the cumulative-mass EMD formula, a
-mass-moving transport oracle, the integer EMD numerator summed over every
-rank, the closed-form upper bound for clusters built one record per subset,
-the one-candidate-at-a-time kfirst swap loop on recounted integer numerators,
-the per-rank swap prefix sums, the swap sums term by term and the brute-force
-swap delta matrix, the list-based merge loop, the np.unique k-anonymity
-check, and the row-at-a-time CSV reader and writer that the package's array
-and block versions replaced."""
+record summed in Fractions, explicit distributions over an ordered support,
+the cumulative-mass EMD formula, a mass-moving transport oracle, the integer
+EMD numerator summed over every rank, the closed-form upper bound for
+clusters built one record per subset, the one-candidate-at-a-time kfirst swap
+loop on recounted integer numerators, the per-rank swap prefix sums, the swap
+sums term by term and the brute-force swap delta matrix, the list-based merge
+loop on Fraction centroids, the np.unique k-anonymity check, and the
+row-at-a-time CSV reader and writer that the package's array and block
+versions replaced."""
 
 from __future__ import annotations
 
@@ -237,7 +238,8 @@ def swap_delta_matrix(ranks: np.ndarray, members: Sequence[int], candidate_ranks
 
 def list_merge_until_tclose(table, partition, tau, params, ctx):
     """The merge pass over Python lists, deleting each merged-away cluster
-    and rebuilding the centroid matrix for every merge."""
+    and rebuilding the centroid matrix for every merge; each centroid is the
+    Fraction mean of the cluster's rows, rounded once."""
     if not tau >= 0:
         raise ValueError("tau must be nonnegative")
     if partition.n != table.n:
@@ -249,7 +251,7 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
 
     x = normalized_qi(table, params)
     groups = [c.members for c in partition.clusters]
-    centroids = [x[g].mean(axis=0) for g in groups]
+    centroids = [fraction_mean(x[g]) for g in groups]
 
     while max(emds) > tau and len(groups) > 1:
         worst = int(np.argmax(emds))
@@ -259,7 +261,7 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
         lo, hi = sorted((worst, other))
         merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
         groups[lo] = merged
-        centroids[lo] = x[merged].mean(axis=0)
+        centroids[lo] = fraction_mean(x[merged])
         emds[lo] = ctx.cluster_emd(merged)
         del groups[hi], centroids[hi], emds[hi]
 

@@ -52,6 +52,7 @@ from oracles import (
 from util import (
     SWAP_PATH_IDS,
     SWAP_PATHS,
+    cluster_means,
     numpy_rebuild_sides,
     same_bits,
     swap_down_up,
@@ -224,10 +225,17 @@ def unit_rows(draw):
 def test_pool_mean_is_the_fraction_mean(x, data):
     # before and after each removal, down to one row; removals of a few
     # values and of many take both ways of summing exactly, and the first
-    # sums are built in blocks of rows of any size
+    # sums are built in blocks of rows of any size. The clusters' centroids
+    # come from the same sums, labelled by cluster, a cluster's rows
+    # possibly split across blocks
+    n = x.shape[0]
+    cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    groups = np.split(np.array(data.draw(st.permutations(range(n)))), sorted(cuts))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tcmicro.microagg, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 7, 4096])))
         mean = _PoolMean(x)
+        means = cluster_means(x, groups)
+    assert same_bits(means, np.array([fraction_mean(x[g]) for g in groups]))
     left = np.arange(x.shape[0])
     while True:
         assert same_bits(mean.mean(), fraction_mean(x[left]))

@@ -195,6 +195,21 @@ def test_table_beyond_the_exact_emd_range_is_usage_error(tmp_path, capsys, monke
     assert not (tmp_path / "anon.csv").exists()
 
 
+@pytest.mark.parametrize("algorithm", sorted(cli.ALGORITHMS))
+def test_centroids_near_float_max_are_published(tmp_path, capsys, algorithm):
+    # a valid table whose QI holds 1.0e308..1.5e308: a float sum of two of
+    # its cells overflows, the exact class mean does not
+    roles = tmp_path / "roles.cfg"
+    roles.write_text("a=qi\nc=confidential\n", encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("a,c\n" + "".join(f"1.{i % 6}e308,{i}\n" for i in range(12)), encoding="utf-8")
+    files = ["--input", str(data), "--roles", str(roles), "--k", "2", "--t", "0.5"]
+    release = tmp_path / "anon.csv"
+    assert main(["anonymize", "--algorithm", algorithm, "--output", str(release), *files]) == 0
+    assert main(["verify", "--anonymized", str(release), *files]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 class TestVerify:
     @pytest.fixture
     def release(self, tmp_path, synth_files):

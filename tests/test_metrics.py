@@ -4,15 +4,19 @@ from scipy.optimize import linprog
 
 from tcmicro import (
     AnonymizedTable,
+    AttributeSpec,
     Cluster,
     Partition,
+    Role,
     SynthConfig,
+    Table,
     TableEmd,
     aggregate,
     cluster_size_stats,
     mdav_partition,
     minmax_params,
     normalized_sse,
+    run_kfirst_algorithm,
     synth_generate,
     verify_k_anonymity,
     verify_t_closeness,
@@ -131,6 +135,27 @@ class TestVerifyTCloseness:
         assert check.max_emd == max(emds) == emds[3]
         assert check.worst_cluster == 40
         assert not check.ok
+
+    def test_coincident_centroids_publish_one_t_close_class(self):
+        # kfirst's swaps give clusters {1, 3} and {0, 5} different QI rows
+        # with one exact centroid, (1, 1.5), so they publish one class; the
+        # EMD to a fixed marginal is convex in the class's distribution, so
+        # the union of two t-close clusters is t-close too
+        qi_a, qi_b = (AttributeSpec(name, Role.QUASI_IDENTIFIER) for name in "ab")
+        specs = (qi_a, qi_b, AttributeSpec("s", Role.CONFIDENTIAL))
+        rows = [[0, 2, 0], [1, 1, 1], [0, 0, 1], [1, 2, 0], [1, 0, 2], [2, 1, 3]]
+        t = Table(specs, np.array(rows, dtype=np.float64))
+        anon, part, _ = run_kfirst_algorithm(t, 2, 0.25)
+        assert [c.members.tolist() for c in part.clusters] == [[1, 3], [2, 4], [0, 5]]
+        qi = anon.table.qi_matrix()
+        assert qi[[0, 1, 3, 5]].tolist() == [[1.0, 1.5]] * 4
+        assert verify_k_anonymity(anon, 2).ok
+        assert verify_t_closeness(t, anon, 0.25).ok
+        # the same check on the published classes, labelled by their QI rows
+        _, classes = np.unique(qi, axis=0, return_inverse=True)
+        by_class = verify_t_closeness(t, AnonymizedTable(anon.table, classes.ravel()), 0.25)
+        assert by_class.ok
+        assert by_class.max_emd <= verify_t_closeness(t, anon, 0.25).max_emd
 
 
 class TestTransportOracle:

@@ -1,11 +1,13 @@
 """Property tests over adversarial tables: ties, constant or all-zero QI
-columns, duplicate rows, negative values, n just above k, k == n and tiny t.
+columns, duplicate rows, negative values, subnormals, magnitudes near the
+largest float, n just above k, k == n and tiny t.
 
 Every pipeline's release must be k-anonymous and t-close on the equivalence
-classes it actually publishes (rows with equal QI values), and invalid k or
-tau must raise ValueError and nothing else. A release written by the CLI must
-pass the CLI's verify at its t and fail it just below its worst EMD. Utility
-is not asserted.
+classes it actually publishes (rows with equal QI values), each published QI
+cell must be its cluster's exact mean rounded once, whatever the order of the
+clusters and of their members, and invalid k or tau must raise ValueError and
+nothing else. A release written by the CLI must pass the CLI's verify at its
+t and fail it just below its worst EMD. Utility is not asserted.
 """
 
 import contextlib
@@ -22,14 +24,18 @@ from hypothesis import strategies as st
 
 from tcmicro import (
     AttributeSpec,
+    Partition,
     Role,
     Table,
+    aggregate,
     cli,
     run_kfirst_algorithm,
     run_merge_algorithm,
     run_tfirst_algorithm,
     write_csv,
 )
+from oracles import fraction_mean
+from util import cluster_means, same_bits
 
 PIPELINES = [run_merge_algorithm, run_kfirst_algorithm, run_tfirst_algorithm]
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -37,6 +43,9 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=N
 cells = st.one_of(
     st.integers(-3, 3).map(float),
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    # subnormals, and values whose float sum overflows; all positive, so a
+    # QI's span max - min stays finite
+    st.sampled_from([5e-324, 1e-310, 1.5e308, 1.7976931348623157e308]),
 )
 
 
@@ -75,9 +84,10 @@ def emd_to_table(conf: np.ndarray, members: np.ndarray) -> float:
 )
 def test_published_classes_are_k_anonymous_and_t_close(data, k, extra, tau):
     table = data.draw(tables(n=st.just(k + extra)))
-    conf = table.confidential_column()
+    conf, original = table.confidential_column(), table.qi_matrix()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for run in PIPELINES:
-        anonymized, _, _ = run(table, k, tau)
+        anonymized, partition, _ = run(table, k, tau)
         assert np.array_equal(anonymized.table.confidential_column(), conf)
         qi = anonymized.table.qi_matrix()
         _, classes = np.unique(qi, axis=0, return_inverse=True)
@@ -85,6 +95,17 @@ def test_published_classes_are_k_anonymous_and_t_close(data, k, extra, tau):
             members = np.flatnonzero(classes.ravel() == c)
             assert members.size >= k, run.__name__
             assert emd_to_table(conf, members) <= tau + 1e-9, run.__name__
+        for cluster in partition.clusters:
+            want = np.tile(fraction_mean(original[cluster.members]), (len(cluster), 1))
+            assert same_bits(qi[cluster.members], want), run.__name__
+        # the same clusters in another order publish the same bytes, and
+        # the centroids do not depend on the order of a cluster's members
+        perm = rng.permutation(len(partition))
+        shuffled = aggregate(table, Partition(tuple(partition.clusters[i] for i in perm), table.n))
+        assert shuffled.table.rows.tobytes() == anonymized.table.rows.tobytes()
+        assert np.array_equal(perm[shuffled.cluster_ids], anonymized.cluster_ids)
+        groups = [rng.permutation(partition.clusters[i].members) for i in perm]
+        assert same_bits(cluster_means(original, groups), qi[[g[0] for g in groups]])
 
 
 @SETTINGS

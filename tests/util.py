@@ -8,6 +8,7 @@ import pytest
 import tcmicro.emd
 import tcmicro.kfirst
 from tcmicro import AttributeSpec, Role, Table
+from tcmicro.microagg import _exact_mean, _exact_sums
 
 # kfirst's swap state reads the swap sums F from a table or evaluates them
 # in closed form, and rebuilds after a swap in numpy or, over a table, in
@@ -68,6 +69,15 @@ def make_ranks_table(n: int) -> Table:
     """1-D table where QI and confidential values are both the ranks 1..n."""
     vals = np.arange(1, n + 1, dtype=float)
     return make_1d_table(vals, vals)
+
+
+def cluster_means(x: np.ndarray, groups) -> np.ndarray:
+    """Each group's centroid, one row per group, from the package's exact
+    sums over the rows of x labelled by group, passed group by group in the
+    given member order, as the merge pass and aggregate pass them."""
+    labels = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    sums = _exact_sums(x[np.concatenate(groups)], labels)
+    return np.array([_exact_mean(s, len(g)) for s, g in zip(sums, groups)])
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
