@@ -71,41 +71,15 @@ def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
 def sq_distances(cols: np.ndarray, point: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances from point to records stored
     attribute-major: cols[j] holds attribute j of every record, in any shape.
-
-    Bit-identical to ((rows - point) ** 2).sum(axis=-1) over the same records
-    stored one per row. numpy adds a contiguous row of fewer than 8 terms left
-    to right, a row of 8 to 128 terms as 8 interleaved partial sums combined
-    pairwise, and a longer row as two halves split at a multiple of 8; the
-    terms are added here in that order, one whole attribute at a time.
-    """
-    return _pairwise_sum(cols, point, 0, cols.shape[0])
-
-
-def _pairwise_sum(cols: np.ndarray, point: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    n = hi - lo
-    if n > 128:
-        mid = lo + n // 2 - (n // 2) % 8
-        return _pairwise_sum(cols, point, lo, mid) + _pairwise_sum(cols, point, mid, hi)
-
-    def term(j: int) -> np.ndarray:
+    The terms (cols[j] - point[j]) ** 2 are added left to right, attribute 0
+    first; below 8 attributes that is numpy's ((rows - point) ** 2).sum(-1)
+    over the same records stored one per row, bit for bit."""
+    diff = cols[0] - point[0]
+    total = np.square(diff, out=diff)
+    for j in range(1, cols.shape[0]):
         diff = cols[j] - point[j]
-        return np.square(diff, out=diff)
-
-    if n < 8:
-        total = term(lo)
-        for j in range(lo + 1, hi):
-            total += term(j)
-        return total
-    parts = [term(lo + j) for j in range(8)]
-    tail = hi - n % 8
-    for i in range(lo + 8, tail, 8):
-        for j in range(8):
-            parts[j] += term(i + j)
-    total = ((parts[0] + parts[1]) + (parts[2] + parts[3])) + (
-        (parts[4] + parts[5]) + (parts[6] + parts[7])
-    )
-    for j in range(tail, hi):
-        total += term(j)
+        total += np.square(diff, out=diff)
+        del diff  # so only total is alive when the next term is made
     return total
 
 

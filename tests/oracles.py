@@ -1,6 +1,7 @@
-"""Reference code the tests compare the package against: the exact mean
-record summed in Fractions, explicit distributions over an ordered support,
-the cumulative-mass EMD formula, a mass-moving transport oracle, the integer
+"""Reference code the tests compare the package against: the squared
+distance added attribute by attribute, the exact mean record summed in
+Fractions, explicit distributions over an ordered support, the
+cumulative-mass EMD formula, a mass-moving transport oracle, the integer
 EMD numerator summed over every rank, the closed-form upper bound for
 clusters built one record per subset, the one-candidate-at-a-time kfirst swap
 loop on recounted integer numerators, the per-rank swap prefix sums, the swap
@@ -22,9 +23,19 @@ import numpy as np
 from tcmicro.dataset import AnonymizedTable, AttributeSpec, Table, _parse_cells
 from tcmicro.emd import TableEmd, check_params
 from tcmicro.metrics import KAnonymityCheck
-from tcmicro.microagg import normalized_qi, partition_from_arrays, sq_distances
+from tcmicro.microagg import normalized_qi, partition_from_arrays
 
 MASS_TOLERANCE = 1e-12
+
+
+def sq_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances from point to records stored one per row
+    (the last axis holds the attributes): the terms (rows[..., j] - point[j])
+    ** 2 added left to right, attribute 0 first."""
+    total = np.zeros(rows.shape[:-1])
+    for j in range(rows.shape[-1]):
+        total = total + (rows[..., j] - point[j]) ** 2
+    return total
 
 
 def fraction_mean(rows: np.ndarray) -> np.ndarray:
@@ -163,7 +174,7 @@ def scan_generate_cluster(
     if candidates.size < 2 * k:
         return np.sort(candidates)
     others = candidates[candidates != seed]
-    d = sq_distances(x[others].T, x[seed])
+    d = sq_distances(x[others], x[seed])
     ordered = others[np.argsort(d, kind="stable")]
     ranks, m = ctx.ranks, ctx.m
     n = ranks.size
@@ -255,7 +266,7 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
 
     while max(emds) > tau and len(groups) > 1:
         worst = int(np.argmax(emds))
-        dists = sq_distances(np.array(centroids).T, centroids[worst])
+        dists = sq_distances(np.array(centroids), centroids[worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))

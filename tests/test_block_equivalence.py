@@ -4,9 +4,10 @@ code they replaced, and the block-scored kfirst swap search against its rule
 as written (one candidate at a time, every trial swap's integer EMD numerator
 recounted), kept here (or in oracles.py) as reference oracles.
 
-The squared-distance helper must match numpy's row-major reductions bit for
-bit, the seeding's average must be the exact mean summed in Fractions and
-rounded once, and the partitions must be identical, cluster order included.
+The squared-distance helper must match the oracle's attribute-by-attribute
+sum over row-major records bit for bit, the seeding's average must be the
+exact mean summed in Fractions and rounded once, and the partitions must be
+identical, cluster order included.
 """
 
 import math
@@ -44,6 +45,7 @@ from oracles import (
     fraction_mean,
     list_merge_until_tclose,
     scan_generate_cluster,
+    sq_distances as row_sq_distances,
     swap_delta_matrix,
     swap_prefix_sums,
     swap_sums_matrix,
@@ -73,7 +75,7 @@ def oracle_seeding(x: np.ndarray, build) -> list[np.ndarray]:
     while alive.any():
         pool = np.flatnonzero(alive)
         anchor = fraction_mean(x[pool]) if prev is None else x[prev]
-        seed = int(pool[int(np.argmax(((x[pool] - anchor) ** 2).sum(axis=1)))])
+        seed = int(pool[int(np.argmax(row_sq_distances(x[pool], anchor)))])
         members = build(seed, pool)
         alive[members] = False
         groups.append(members)
@@ -85,7 +87,7 @@ def oracle_mdav(x: np.ndarray, k: int) -> list[np.ndarray]:
     def build(seed, pool):
         if pool.size < 2 * k:
             return pool
-        d = ((x[pool] - x[seed]) ** 2).sum(axis=1)
+        d = row_sq_distances(x[pool], x[seed])
         return np.sort(pool[np.argsort(d, kind="stable")[:k]])
 
     return oracle_seeding(x, build)
@@ -109,7 +111,7 @@ def oracle_tfirst(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
         at += baseline + extras[i]
 
     def take_nearest(subset, point):
-        d = ((x[subset] - point) ** 2).sum(axis=1)
+        d = row_sq_distances(x[subset], point)
         pick = int(subset[d == d.min()].min())
         return pick, np.delete(subset, int(np.flatnonzero(subset == pick)[0]))
 
@@ -167,7 +169,11 @@ class TestSqDistances:
     def test_matches_row_sum_bit_for_bit(self, q, kind):
         x = data(kind, 3000, q, q)
         for point in (x[7], x.mean(axis=0)):
-            want = ((x - point) ** 2).sum(axis=1)
+            want = row_sq_distances(x, point)
+            if q < 8:
+                # numpy's row sum adds fewer than 8 terms left to right too,
+                # so the distances on tables of at most 7 QIs are its own
+                assert same_bits(((x - point) ** 2).sum(axis=1), want)
             # a contiguous attribute-major copy, and the strided view the
             # kfirst candidate order and the merge pass's centroid search pass
             for cols in (np.ascontiguousarray(x.T), x.T):
@@ -177,7 +183,7 @@ class TestSqDistances:
     def test_block_shape_and_infinite_slots(self, q):
         x = data("tied", 60, q, 100 + q)
         block = x.reshape(5, 12, q)
-        want = ((block - x[3]) ** 2).sum(axis=-1)
+        want = row_sq_distances(block, x[3])
         cols = block.transpose(2, 0, 1).copy()
         cols[:, 1, 4] = np.inf
         want[1, 4] = np.inf
@@ -259,7 +265,7 @@ def lazy_mdav(x: np.ndarray, k: int, watch: bool = False):
         from_prev = len(seeds) % 2
         if watch and not alive.all():
             anchor = x[seeds[-1]] if from_prev else fraction_mean(x[ids[alive]])
-            d = ((x[ids] - anchor) ** 2).sum(axis=1)
+            d = row_sq_distances(x[ids], anchor)
             stale[from_prev] += d[~alive].max() > d[alive].max()
         seeds.append(seed)
         if np.count_nonzero(alive) < 2 * k:

@@ -237,17 +237,17 @@ GOLDEN = {
     "merge/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
     "kfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
     "tfirst/dup-rows/k60/t0.2": "56c001136166518294cf28d87bdc1f3089e2cf3dc6d1ae64aada6b25d619c686",
-    "mdav/ties9/k2": "6442e13abd16e0b3b82d0e33dfd893e1577d40c7ce93f7d5effcb0fa71d8cc49",
-    "merge/ties9/k2/t0.05": "a97e6d07fc49f5821cc97ad5558fe2a037fa6261369b171d8586744fb7844305",
-    "kfirst/ties9/k2/t0.05": "976bdd62c3efe1ea6f35fb99c5e8260f65a2f1bb4f087a51f9b6716d29d085b3",
-    "tfirst/ties9/k2/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
-    "merge/ties9/k2/t0.2": "7d691be7608e68a9ae4154ca3fe52d1718dfcb0c1260f1c10c0f32f223b44758",
-    "kfirst/ties9/k2/t0.2": "99d9689e4d2a97618bfdeed9a8a08cdc66653c9785d5e019f102f72a90f35b08",
-    "tfirst/ties9/k2/t0.2": "efb851935bd9f0ccf6d3ff31dd96a62ed8b6c74d4faf07f617f12993cd34765f",
+    "mdav/ties9/k2": "254c9972e38ac7402591e5b5954d6500415979cc80fff4b463a9d5768e3d22d6",
+    "merge/ties9/k2/t0.05": "bf986b02c18d600a96e473860180a09f71d072923461cead6d3ae1caf0dcf6d1",
+    "kfirst/ties9/k2/t0.05": "6cd343abca829cebe93ef78f855d579ac3ecbe08a47b77c1e021ae542ad0ad83",
+    "tfirst/ties9/k2/t0.05": "f85600f2e942189033d244b6170b65f169a21858ccc7e084b5fe38269309014a",
+    "merge/ties9/k2/t0.2": "595a80b2d1c7f01743e7808361f80db4f1b098627585e07a56ca5212aaaef71e",
+    "kfirst/ties9/k2/t0.2": "7320f831c01f9a1831741f5135a5e3929b7de97f53fed94d33122abe465a1219",
+    "tfirst/ties9/k2/t0.2": "27b321458d3d2e37438259b72a3fc6df5727be93e9e677e6bc85c2d0fb1ed2d6",
     "mdav/ties9/k5": "53b585bf5d03ca030c023b30d257e74c7615db9c1517a43b1f7431ee5c5c107c",
     "merge/ties9/k5/t0.05": "2b21df54c7b3db395d890294aac0507091aed47e1922345f20a3a653dc39093c",
-    "kfirst/ties9/k5/t0.05": "2921d6090fcca83075a5cc7951780352213b5ab4f09f6e2a1500dec5ba110619",
-    "tfirst/ties9/k5/t0.05": "f3c1923735ff6804a103930194565eb395e739f9c5885e637409d22f63fd0a2a",
+    "kfirst/ties9/k5/t0.05": "c62c0fbce16633734aa084c0871ee8dfb0f4521fd5e214739de8dde5708309f4",
+    "tfirst/ties9/k5/t0.05": "f85600f2e942189033d244b6170b65f169a21858ccc7e084b5fe38269309014a",
     "merge/ties9/k5/t0.2": "2d8740f0b40de57a4f2dd1f81fe98809bcb7c840f4ee78e0084b281be64f7e91",
     "kfirst/ties9/k5/t0.2": "1527fcff58799fff50a67848fded9949fc4c71f168b6c04cdf6b671a16a9aef3",
     "tfirst/ties9/k5/t0.2": "04da578238071a3adda61cc081bc5b58479e47b10e2e19e671e43795d5b4bd9d",
@@ -274,7 +274,7 @@ GOLDEN = {
     "kfirst/synth9-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
     "tfirst/synth9-s1-n300/k300/t0.2": "938cbf36425c24b462c9cd12237de757f3cb7df18bc42f3fbab62235867a7934",
     "tfirst/ties/k8/t0.2": "3807bc3813e9fa102ba21677dbf24d26f78da6de02c0fef1447df3c836bdd572",
-    "tfirst/ties9/k8/t0.2": "f3b8bcc3ae4fa9d5a77c81ed466b69a7bcca87680d88d11319a3dd9d0c82d598",
+    "tfirst/ties9/k8/t0.2": "97d4c903c8198dd46c6f859e351db9f4504d37b26018589632830475aa82609e",
     "tfirst/synth9-s1-n300/k8/t0.2": "f368b52f7b641ba9995c23f632dd6efb0d134582c61cdc3fc543f28bd4ce3c69",
 }
 
