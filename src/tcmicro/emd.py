@@ -60,18 +60,18 @@ class TableEmd:
             return 0.0
         return float(self._emds(self._numerator(np.sort(self.ranks[members])), members.size))
 
-    def partition_emds(self, groups) -> np.ndarray:
-        """Every cluster's EMD at once, bit for bit cluster_emd of each: one
-        sort by (cluster, rank) orders every cluster's ranks, and the kernel
-        is O(n log n) for the whole partition instead of O(m) per cluster."""
-        sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    def partition_emds(self, order, starts) -> np.ndarray:
+        """Every cluster's EMD at once, bit for bit cluster_emd of each, in
+        Partition's (order, starts) layout: one sort by (cluster, rank) orders
+        every cluster's ranks, and the kernel is O(n log n) for the whole
+        partition instead of O(m) per cluster."""
+        sizes = np.diff(starts, append=len(order))
         if not sizes.all():
             raise ValueError("cluster is empty")
         m = self.m
         if m == 1:
             return np.zeros(sizes.size)
-        ranks = self.ranks[np.concatenate(groups)]
-        starts = np.cumsum(sizes) - sizes
+        ranks = self.ranks[order]
         labels = np.repeat(np.arange(sizes.size), sizes)
         # sorting keeps the clusters in order, each one's ranks ascending
         offsets = labels * m
@@ -125,10 +125,9 @@ class TableEmd:
             self._swap_sums = SwapSums(self, s)
         return self._swap_sums
 
-    def max_cluster_emd(self, groups) -> tuple[float, int]:
-        """The largest cluster EMD over groups and the lowest index attaining
-        it."""
-        emds = self.partition_emds(groups)
+    def max_cluster_emd(self, order, starts) -> tuple[float, int]:
+        """The largest EMD of partition_emds(order, starts) and its lowest index."""
+        emds = self.partition_emds(order, starts)
         worst = int(np.argmax(emds))
         return float(emds[worst]), worst
 

@@ -203,12 +203,11 @@ def kfirst_partition(
     seeded_partition. Cluster sizes lie in [k, 2k-1]; clusters need not all be
     t-close yet (see run_kfirst_algorithm)."""
     check_params(table.n, k, tau)
-    x = normalized_qi(table, params)
 
     def build(seed, ids, alive, dist):
         return generate_cluster(seed, ids[alive], dist[alive], ctx, k, tau)
 
-    return seeded_partition(x, build)
+    return seeded_partition(normalized_qi(table, params), build)
 
 
 def run_kfirst_algorithm(

@@ -12,8 +12,7 @@ from .dataset import AnonymizedTable, NormalizationParams, Table, minmax_params
 from .emd import TableEmd, check_params
 from .metrics import RunReport, make_report
 from .microagg import (
-    Partition, _exact_mean, _exact_sums, aggregate, mdav_partition, normalized_qi,
-    partition_from_arrays, sq_distances,
+    Partition, _exact_mean, _exact_sums, aggregate, mdav_partition, normalized_qi, sq_distances,
 )
 
 
@@ -44,8 +43,7 @@ def merge_until_tclose(
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
 
-    groups = [c.members for c in partition.clusters]
-    emds = ctx.partition_emds(groups)
+    emds = ctx.partition_emds(partition.order, partition.starts)
     worst = int(np.argmax(emds))
     if emds[worst] <= tau:
         return partition
@@ -55,26 +53,24 @@ def merge_until_tclose(
     # and argmin still pick the lowest live slot among ties, as if the dead
     # slots had been deleted. cols[j] holds attribute j of every centroid,
     # each the exact mean of the slot's rows rounded once (see _exact_sums).
-    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
-    sums = _exact_sums(normalized_qi(table, params)[np.concatenate(groups)], labels)
+    # A merged slot's records stay unsorted until the final Partition.
+    groups = np.split(partition.order, partition.starts[1:])
+    labels = np.repeat(np.arange(len(groups)), partition.sizes())
+    sums = _exact_sums(normalized_qi(table, params)[partition.order], labels)
     cols = np.array([_exact_mean(s, g.size) for s, g in zip(sums, groups)]).T.copy()
-    live = len(groups)
 
-    while emds[worst] > tau and live > 1:
+    while emds[worst] > tau:
         dists = sq_distances(cols, cols[:, worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))
-        merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
-        groups[lo], groups[hi] = merged, None
+        groups[lo], groups[hi] = np.concatenate([groups[lo], groups[hi]]), None
         sums[lo], sums[hi] = [a + b for a, b in zip(sums[lo], sums[hi])], None
-        cols[:, lo], cols[:, hi] = _exact_mean(sums[lo], merged.size), np.inf
-        emds[lo], emds[hi] = ctx.cluster_emd(merged), -np.inf
-        live -= 1
+        cols[:, lo], cols[:, hi] = _exact_mean(sums[lo], groups[lo].size), np.inf
+        emds[lo], emds[hi] = ctx.cluster_emd(groups[lo]), -np.inf
         worst = int(np.argmax(emds))
 
-    groups = [g for g in groups if g is not None]
-    return partition_from_arrays(groups, table.n)
+    return Partition([g for g in groups if g is not None])
 
 
 def release(
@@ -89,8 +85,7 @@ def release(
     check_params(table.n, k, tau)
     start = time.perf_counter()
     params, ctx = minmax_params(table), TableEmd(table)
-    partition = partition_step(params, ctx)
-    partition = merge_until_tclose(table, partition, tau, params, ctx)
+    partition = merge_until_tclose(table, partition_step(params, ctx), tau, params, ctx)
     anonymized = aggregate(table, partition)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     report = make_report(

@@ -106,13 +106,12 @@ def verify_t_closeness(table: Table, anonymized: AnonymizedTable, tau: float) ->
     class with the largest EMD, the lowest id on ties."""
     ids = anonymized.cluster_ids
     order, starts = _classes(ids[:, None])
-    max_emd, worst = TableEmd(table).max_cluster_emd(np.split(order, starts[1:]))
+    max_emd, worst = TableEmd(table).max_cluster_emd(order, starts)
     return TClosenessCheck(max_emd <= tau, tau, max_emd, int(ids[order[starts[worst]]]))
 
 
 def cluster_size_stats(partition: Partition) -> tuple[int, float]:
-    sizes = partition.sizes()
-    return min(sizes), sum(sizes) / len(sizes)
+    return min(partition.sizes()), partition.n / len(partition)
 
 
 def make_report(
@@ -135,7 +134,7 @@ def make_report(
         tau=tau,
         k_min_actual=k_min,
         k_avg_actual=k_avg,
-        max_cluster_emd=ctx.max_cluster_emd([c.members for c in partition.clusters])[0],
+        max_cluster_emd=ctx.max_cluster_emd(partition.order, partition.starts)[0],
         sse=normalized_sse(table, anonymized, params),
         runtime_ms=runtime_ms,
         seed=seed,

@@ -31,31 +31,39 @@ class Cluster:
         return int(self.members.size)
 
 
-@dataclass(frozen=True)
 class Partition:
-    """A list of pairwise-disjoint clusters covering all n record indices."""
+    """Disjoint, nonempty clusters covering the records 0..n-1 as two read-only
+    int64 arrays: order lists the records cluster by cluster, ascending within
+    each, and cluster i starts at order[starts[i]] (the last ends at n).
+    Partition(groups) takes each cluster's record indices, in any order."""
 
-    clusters: tuple[Cluster, ...]
-    n: int
-
-    def __post_init__(self):
-        clusters = tuple(self.clusters)
-        if not clusters:
+    def __init__(self, groups):
+        sizes = np.array([len(g) for g in groups], dtype=np.int64)
+        if not sizes.size:
             raise ValueError("a partition needs at least one cluster")
-        joined = np.concatenate([c.members for c in clusters])
-        if joined.size != self.n or np.any(np.sort(joined) != np.arange(self.n)):
+        if not sizes.all():
+            raise ValueError("a cluster must contain at least one record")
+        order = np.concatenate(groups).astype(np.int64, copy=False)
+        if order.min() < 0 or order.max() >= order.size or np.bincount(order).max() > 1:
             raise ValueError("clusters must disjointly cover all record indices")
-        object.__setattr__(self, "clusters", clusters)
+        # one in-place sort by (cluster, index): record j of cluster i sorts as i * n + j
+        order += np.repeat(np.arange(sizes.size) * order.size, sizes)
+        order.sort()
+        order %= order.size
+        self.order, self.starts, self.n = order, np.cumsum(sizes) - sizes, order.size
+        self.order.setflags(write=False)
+        self.starts.setflags(write=False)
 
     def sizes(self) -> list[int]:
-        return [len(c) for c in self.clusters]
+        return np.diff(self.starts, append=self.n).tolist()
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self.starts.size
 
-
-def partition_from_arrays(member_arrays, n: int) -> Partition:
-    return Partition(tuple(Cluster(a) for a in member_arrays), n)
+    @property
+    def clusters(self) -> tuple[Cluster, ...]:
+        """One Cluster per cluster, built on each access (for bench/)."""
+        return tuple(Cluster(g) for g in np.split(self.order, self.starts[1:]))
 
 
 def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:
@@ -228,7 +236,7 @@ def seeded_partition(x: np.ndarray, build) -> Partition:
             if from_prev is not None:
                 from_prev = from_prev[alive]
             alive, gone = np.ones(ids.size, dtype=bool), 0
-    return partition_from_arrays(groups, x.shape[0])
+    return Partition(groups)
 
 
 def _k_smallest(d: np.ndarray, k: int) -> np.ndarray:
@@ -265,7 +273,7 @@ def aggregate(table: Table, partition: Partition) -> AnonymizedTable:
     ignored cells untouched, and record cluster ids."""
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
-    order, sizes = np.concatenate([c.members for c in partition.clusters]), partition.sizes()
+    order, sizes = partition.order, partition.sizes()
     labels = np.repeat(np.arange(len(sizes)), sizes)
     sums = _exact_sums(table.rows[np.ix_(order, table.qi_indices)], labels)
     means = np.array([_exact_mean(s, size) for s, size in zip(sums, sizes)])

@@ -23,7 +23,7 @@ import numpy as np
 from tcmicro.dataset import AnonymizedTable, AttributeSpec, Table, _parse_cells
 from tcmicro.emd import TableEmd, check_params
 from tcmicro.metrics import KAnonymityCheck
-from tcmicro.microagg import normalized_qi, partition_from_arrays
+from tcmicro.microagg import Partition, normalized_qi
 
 MASS_TOLERANCE = 1e-12
 
@@ -276,7 +276,7 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
         emds[lo] = ctx.cluster_emd(merged)
         del groups[hi], centroids[hi], emds[hi]
 
-    return partition_from_arrays(groups, table.n)
+    return Partition(groups)
 
 
 def unique_verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:

@@ -38,7 +38,7 @@ from tcmicro import (
 )
 from tcmicro.kfirst import _SwapEmd
 import tcmicro.microagg
-from tcmicro.microagg import _PoolMean, partition_from_arrays, seeded_partition, sq_distances
+from tcmicro.microagg import Partition, _PoolMean, seeded_partition, sq_distances
 from oracles import (
     emd_numerator,
     exact_emd,
@@ -382,7 +382,7 @@ def merged_groups(table: Table, part, tau: float, merge) -> list[np.ndarray]:
 def assert_same_kfirst_and_merge(table: Table, k: int, tau: float):
     got = kfirst_groups(table, k, tau)
     assert_same_groups(got, kfirst_groups(table, k, tau, scan=True))
-    for part in (mdav_partition(table, minmax_params(table), k), partition_from_arrays(got, table.n)):
+    for part in (mdav_partition(table, minmax_params(table), k), Partition(got)):
         assert_same_groups(
             merged_groups(table, part, tau, merge_until_tclose),
             merged_groups(table, part, tau, list_merge_until_tclose),
@@ -569,7 +569,7 @@ def test_merge_at_the_exact_max_matches_loop():
         part = mdav_partition(table, minmax_params(table), k)
         conf = table.confidential_column()
         top = max(exact_emd(conf, c.members) for c in part.clusters)
-        assert TableEmd(table).max_cluster_emd([c.members for c in part.clusters])[0] == top
+        assert TableEmd(table).max_cluster_emd(part.order, part.starts)[0] == top
         for tau in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)):
             assert_same_groups(
                 merged_groups(table, part, tau, merge_until_tclose),

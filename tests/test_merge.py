@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tcmicro import (
-    Cluster,
     Partition,
     SynthConfig,
     TableEmd,
@@ -46,8 +45,7 @@ TIED_PARTITIONS = {
 
 def stored_partition(name: str) -> Partition:
     labels = np.array(TIED_PARTITIONS[name].split(), dtype=np.int64)
-    clusters = tuple(Cluster(np.flatnonzero(labels == i)) for i in range(labels.max() + 1))
-    return Partition(clusters, labels.size)
+    return Partition([np.flatnonzero(labels == i) for i in range(labels.max() + 1)])
 
 
 def small_table(n=120, seed=2):
@@ -74,7 +72,7 @@ class TestMergeUntilTclose:
 
     def test_two_clusters_one_violating(self):
         t = make_ranks_table(6)
-        part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
+        part = Partition([[0, 1, 2], [3, 4, 5]])
         out = merge(t, part, 0.2)  # each half has EMD 0.3
         assert len(out) == 1
 
@@ -105,7 +103,7 @@ class TestMergeUntilTclose:
         params = minmax_params(table)
         part = stored_partition(name)
         groups = [c.members for c in part.clusters]
-        emds = TableEmd(table).partition_emds(groups)
+        emds = TableEmd(table).partition_emds(part.order, part.starts)
         assert emds.max() == top
         assert np.flatnonzero(emds == top).tolist() == tied
 

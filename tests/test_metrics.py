@@ -5,7 +5,6 @@ from scipy.optimize import linprog
 from tcmicro import (
     AnonymizedTable,
     AttributeSpec,
-    Cluster,
     Partition,
     Role,
     SynthConfig,
@@ -41,20 +40,20 @@ def linprog_emd(p: Distribution, q: Distribution) -> float:
 class TestNormalizedSse:
     def test_identity_is_zero(self):
         t = make_ranks_table(10)
-        part = Partition(tuple(Cluster([i]) for i in range(10)), 10)
+        part = Partition([[i] for i in range(10)])
         assert normalized_sse(t, aggregate(t, part), minmax_params(t)) == 0.0
 
     def test_two_point_collapse(self):
         # one QI of range 10 collapsed to the midpoint, one unchanged
         # confidential: (1/2) * [(1/2)(0.25) + (1/2)(0.25)] = 0.125
         t = make_1d_table([0, 10], [1, 2])
-        anon = aggregate(t, Partition((Cluster([0, 1]),), 2))
+        anon = aggregate(t, Partition([[0, 1]]))
         assert normalized_sse(t, anon, minmax_params(t)) == pytest.approx(0.125, abs=1e-15)
 
     def test_refinement_never_worse(self):
         t = synth_generate(SynthConfig(n=80, qi_count=2, target_correlation=0.5, seed=6))
         params = minmax_params(t)
-        coarse = normalized_sse(t, aggregate(t, Partition((Cluster(np.arange(80)),), 80)), params)
+        coarse = normalized_sse(t, aggregate(t, Partition([np.arange(80)])), params)
         for k in (2, 5, 10):
             fine = normalized_sse(t, aggregate(t, mdav_partition(t, params, k)), params)
             assert fine <= coarse + 1e-12
@@ -62,13 +61,13 @@ class TestNormalizedSse:
     def test_bounded_by_one(self):
         t = synth_generate(SynthConfig(n=50, qi_count=3, target_correlation=0.2, seed=9))
         params = minmax_params(t)
-        sse = normalized_sse(t, aggregate(t, Partition((Cluster(np.arange(50)),), 50)), params)
+        sse = normalized_sse(t, aggregate(t, Partition([np.arange(50)])), params)
         assert 0.0 <= sse <= 1.0
 
     def test_shape_mismatch(self):
         t = make_ranks_table(4)
         other = make_ranks_table(5)
-        anon = aggregate(other, Partition((Cluster(np.arange(5)),), 5))
+        anon = aggregate(other, Partition([np.arange(5)]))
         with pytest.raises(ValueError):
             normalized_sse(t, anon, minmax_params(t))
 
@@ -98,19 +97,19 @@ class TestVerifyKAnonymity:
 class TestVerifyTCloseness:
     def test_single_cluster_passes_any_tau(self):
         t = make_ranks_table(12)
-        part = Partition((Cluster(np.arange(12)),), 12)
+        part = Partition([np.arange(12)])
         assert verify_t_closeness(t, aggregate(t, part), 0.0).ok
 
     def test_halves_of_six_fail_at_point_two(self):
         t = make_ranks_table(6)
-        part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
+        part = Partition([[0, 1, 2], [3, 4, 5]])
         check = verify_t_closeness(t, aggregate(t, part), 0.2)
         assert not check.ok
         assert check.max_emd == pytest.approx(0.3, abs=1e-12)  # by cumulative sums
 
     def test_reports_worst_cluster(self):
         t = make_ranks_table(8)
-        part = Partition((Cluster([0, 1]), Cluster([2, 3, 4, 5]), Cluster([6, 7])), 8)
+        part = Partition([[0, 1], [2, 3, 4, 5], [6, 7]])
         check = verify_t_closeness(t, aggregate(t, part), 0.05)
         worst = check.worst_cluster
         assert worst in (0, 2)  # the tail pairs are the farthest from uniform
@@ -118,7 +117,7 @@ class TestVerifyTCloseness:
     def test_no_slack_above_tau(self):
         # the check is emd <= tau on the kernel's EMD, with no allowance
         t = make_ranks_table(6)
-        part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5])), 6)
+        part = Partition([[0, 1, 2], [3, 4, 5]])
         anon = aggregate(t, part)
         assert verify_t_closeness(t, anon, 0.3).ok
         assert not verify_t_closeness(t, anon, 0.3 - 1e-6).ok
@@ -189,9 +188,9 @@ class TestTransportOracle:
 
 class TestClusterSizeStats:
     def test_mixed_sizes(self):
-        part = Partition((Cluster([0, 1, 2]), Cluster([3, 4, 5, 6])), 7)
+        part = Partition([[0, 1, 2], [3, 4, 5, 6]])
         assert cluster_size_stats(part) == (3, 3.5)
 
     def test_uniform(self):
-        part = Partition(tuple(Cluster(np.arange(i * 10, (i + 1) * 10)) for i in range(4)), 40)
+        part = Partition([np.arange(i * 10, (i + 1) * 10) for i in range(4)])
         assert cluster_size_stats(part) == (10, 10.0)

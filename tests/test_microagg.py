@@ -51,12 +51,37 @@ class TestClusterPartition:
             Cluster([1, 1, 2])
 
     def test_partition_must_cover(self):
+        # two records, so index 1 is missing and index 2 out of range
         with pytest.raises(ValueError, match="cover"):
-            Partition((Cluster([0, 1]),), 3)
+            Partition([[0, 2]])
 
     def test_partition_must_be_disjoint(self):
         with pytest.raises(ValueError, match="cover"):
-            Partition((Cluster([0, 1]), Cluster([1, 2])), 3)
+            Partition([[0, 1], [1, 2]])
+
+    def test_partition_needs_a_cluster(self):
+        with pytest.raises(ValueError, match="at least one cluster"):
+            Partition([])
+
+    def test_partition_rejects_an_empty_cluster(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            Partition([[0, 1], []])
+
+    def test_partition_rejects_a_negative_index(self):
+        with pytest.raises(ValueError, match="cover"):
+            Partition([[1, -1], [0]])
+
+    def test_partition_sorts_within_clusters(self):
+        first = np.array([4, 0, 2])
+        part = Partition([first, [3, 1]])
+        assert first.tolist() == [4, 0, 2]
+        assert [c.members.tolist() for c in part.clusters] == [[0, 2, 4], [1, 3]]
+        assert part.order.tolist() == [0, 2, 4, 1, 3]
+        assert part.starts.tolist() == [0, 3]
+        assert part.order.dtype == part.starts.dtype == np.int64
+        assert not part.order.flags.writeable and not part.starts.flags.writeable
+        assert (len(part), part.n, part.sizes()) == (2, 5, [3, 2])
+        assert all(type(size) is int for size in part.sizes())
 
 
 class TestRecordDistance:
@@ -218,13 +243,13 @@ def assert_row(x, seed, ids, alive, dist):
 class TestAggregate:
     def test_singleton_partition_is_identity(self):
         t = random_table(8, 3)
-        part = Partition(tuple(Cluster([i]) for i in range(8)), 8)
+        part = Partition([[i] for i in range(8)])
         anon = aggregate(t, part)
         assert np.array_equal(anon.table.rows, t.rows)
 
     def test_single_cluster_gives_global_mean(self):
         t = random_table(9, 4)
-        anon = aggregate(t, Partition((Cluster(np.arange(9)),), 9))
+        anon = aggregate(t, Partition([np.arange(9)]))
         qi = anon.table.qi_matrix()
         assert np.allclose(qi, t.qi_matrix().mean(axis=0))
 

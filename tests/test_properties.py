@@ -27,6 +27,7 @@ from tcmicro import (
     Partition,
     Role,
     Table,
+    TableEmd,
     aggregate,
     cli,
     run_kfirst_algorithm,
@@ -96,17 +97,60 @@ def test_published_classes_are_k_anonymous_and_t_close(data, k, extra, tau):
             members = np.flatnonzero(classes.ravel() == c)
             assert members.size >= k, run.__name__
             assert emd_to_table(conf, members) <= tau + 1e-9, run.__name__
-        for cluster in partition.clusters:
-            want = np.tile(fraction_mean(original[cluster.members]), (len(cluster), 1))
-            assert same_bits(qi[cluster.members], want), run.__name__
-        # the same clusters in another order publish the same bytes, and
-        # the centroids do not depend on the order of a cluster's members
+        clusters = np.split(partition.order, partition.starts[1:])
+        for members in clusters:
+            want = np.tile(fraction_mean(original[members]), (members.size, 1))
+            assert same_bits(qi[members], want), run.__name__
+        # the same clusters in another order, each with its members in
+        # another order, publish the same bytes
         perm = rng.permutation(len(partition))
-        shuffled = aggregate(table, Partition(tuple(partition.clusters[i] for i in perm), table.n))
+        groups = [rng.permutation(clusters[i]) for i in perm]
+        shuffled = aggregate(table, Partition(groups))
         assert shuffled.table.rows.tobytes() == anonymized.table.rows.tobytes()
         assert np.array_equal(perm[shuffled.cluster_ids], anonymized.cluster_ids)
-        groups = [rng.permutation(partition.clusters[i].members) for i in perm]
         assert same_bits(cluster_means(original, groups), qi[[g[0] for g in groups]])
+
+
+@st.composite
+def groupings(draw):
+    """A table and a grouping of its records, clusters and members in a
+    random order: random labels, all singletons, or one cluster of every
+    record."""
+    table = draw(tables(n=st.integers(1, 24)))
+    shape = draw(st.sampled_from(["random", "singletons", "whole"]))
+    n = table.n
+    if shape == "random":
+        labels = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+    else:
+        labels = np.arange(n) if shape == "singletons" else np.zeros(n, dtype=np.int64)
+    groups = [
+        np.array(draw(st.permutations(np.flatnonzero(labels == c).tolist())), dtype=np.int64)
+        for c in draw(st.permutations(np.unique(labels).tolist()))
+    ]
+    return table, groups
+
+
+@SETTINGS
+@given(groupings())
+def test_partition_holds_its_groups(case):
+    table, groups = case
+    part = Partition(groups)
+    ascending = [sorted(g.tolist()) for g in groups]
+    assert [c.members.tolist() for c in part.clusters] == ascending
+    assert [g.tolist() for g in np.split(part.order, part.starts[1:])] == ascending
+    assert part.sizes() == [g.size for g in groups]
+    assert (len(part), part.n) == (len(groups), table.n)
+    ctx = TableEmd(table)
+    single = np.array([ctx.cluster_emd(g) for g in groups])
+    assert ctx.partition_emds(part.order, part.starts).tobytes() == single.tobytes()
+    original, qi = table.qi_matrix(), aggregate(table, part).table.qi_matrix()
+    for g in groups:
+        assert same_bits(qi[g], np.tile(fraction_mean(original[g]), (g.size, 1)))
+    # one record repeated in the last cluster, or one replaced by an index
+    # past the end, no longer covers 0..n-1 exactly once
+    for last in (np.append(groups[-1], groups[0][0]), np.append(groups[-1][1:], table.n)):
+        with pytest.raises(ValueError, match="cover"):
+            Partition(groups[:-1] + [last])
 
 
 @SETTINGS

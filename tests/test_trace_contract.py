@@ -1,5 +1,5 @@
 """The names bench/spans.py patches in the pipeline and cli modules still
-feed it.
+feed it, and bench/worker.py can read what it records.
 
 The benchmark tracer wraps module-level names in each pipeline module and in
 cli; a step that binds one of them at import time, or a module that stops
@@ -34,8 +34,7 @@ def synth_files(tmp_path_factory):
     return data, roles
 
 
-@pytest.mark.parametrize("algorithm", sorted(PARTITION_SPAN))
-def test_pipeline_spans_and_merge_parent(algorithm, synth_files, tmp_path):
+def traced_anonymize(algorithm, synth_files, tmp_path):
     data, roles = synth_files
     tracer = spans.Tracer()
     tracer.install()
@@ -47,12 +46,30 @@ def test_pipeline_spans_and_merge_parent(algorithm, synth_files, tmp_path):
     finally:
         tracer.uninstall()
     assert rc == 0
+    return tracer
+
+
+@pytest.mark.parametrize("algorithm", sorted(PARTITION_SPAN))
+def test_pipeline_spans_and_merge_parent(algorithm, synth_files, tmp_path):
+    tracer = traced_anonymize(algorithm, synth_files, tmp_path)
     names = [span.name for span in tracer.spans]
     assert SHARED | {PARTITION_SPAN[algorithm]} <= set(names)
     assert names.count("merge.merge_until_tclose") == 1
     merge_span = next(s for s in tracer.spans if s.name == "merge.merge_until_tclose")
     parent = tracer.spans[merge_span.parent].name
     assert parent == f"{algorithm}.run_{algorithm}_algorithm"
+
+
+def test_worker_reads_the_kfirst_partition(synth_files, tmp_path):
+    # bench/worker.py's per-layer metrics read the kfirst partition the
+    # tracer recorded: its len, and each cluster's members for the ratio
+    import worker
+
+    tracer = traced_anonymize("kfirst", synth_files, tmp_path)
+    metrics, _ = worker.layer_metrics(tracer, None)
+    [(_, _, partition, _)] = tracer.kfirst_results
+    assert metrics["kfirst.clusters"] == len(partition) > 0
+    assert 0.0 <= metrics["kfirst.tclose_ratio"] <= 1.0
 
 
 def test_verify_spans(synth_files, tmp_path):
