@@ -16,6 +16,11 @@ from .dataset import Table
 # every int64 intermediate of the EMD kernel is at most n * n * m
 _INT64_RANGE = 2**63
 
+# a cluster of at most this many records takes its EMD numerator, and in
+# kfirst over a tabulated F its swap state, in Python ints, not numpy: on a
+# 2-core Xeon VM (Python 3.11, numpy 2.4) the two cost about the same near 10
+_LOOP_SIZE = 10
+
 
 class TableEmd:
     """Rank-indexed view of a table's confidential column for repeated
@@ -48,6 +53,7 @@ class TableEmd:
         self._b = np.cumsum(counts)
         self._sb = np.concatenate(([0], np.cumsum(self._b)))
         self._swap_sums = None
+        self._threshold = None, None, None
 
     def cluster_emd(self, members: np.ndarray) -> float:
         """EMD between the cluster's confidential distribution and the whole
@@ -83,12 +89,21 @@ class TableEmd:
         d = self._numerators(lo, hi, a, sizes[labels], starts, sizes, np.add.reduceat(ranks, starts))
         return self._emds(d, sizes)
 
-    def _numerator(self, ranks: np.ndarray) -> np.int64:
-        """D of one cluster from its ranks in ascending order."""
+    def _numerator(self, ranks: np.ndarray) -> int:
+        """D of one cluster from its ranks in ascending order: _numerators'
+        steps, in Python ints for at most _LOOP_SIZE ranks."""
         s = ranks.size
-        hi = np.empty_like(ranks)
-        hi[:-1], hi[-1] = ranks[1:], self.m
-        return self._numerators(ranks, hi, np.arange(1, s + 1), s, [0], s, ranks.sum())[0]
+        if s > _LOOP_SIZE:
+            hi = np.empty_like(ranks)
+            hi[:-1], hi[-1] = ranks[1:], self.m
+            return int(self._numerators(ranks, hi, np.arange(1, s + 1), s, [0], s, ranks.sum())[0])
+        n, m, lo = self.n, self.m, ranks.tolist()
+        hi = lo[1:] + [m]
+        t = self._b.searchsorted([-(-n * a // s) for a in range(1, s + 1)]).tolist()
+        t = [min(max(u, x), y) for u, x, y in zip(t, lo, hi)]
+        sb = self._sb.take(t + hi + lo[:1]).tolist()
+        p = sum(s * (sb[s + a] - sb[a]) - n * (a + 1) * (hi[a] - t[a]) for a in range(s))
+        return 2 * (p + s * sb[-1]) + n * (s * m - sum(lo)) - s * sb[2 * s - 1]
 
     def _numerators(self, lo, hi, a, s, first, sizes, rank_sums) -> np.ndarray:
         """D of each cluster from its ranks in ascending order: the one at
@@ -110,13 +125,26 @@ class TableEmd:
         return 2 * p + (n * (sizes * self.m - rank_sums) - sizes * sb[-1])
 
     def _emds(self, d, sizes) -> np.ndarray:
-        """EMD = D / (s n (m - 1)) in float64. numpy turns each int64 operand
-        into a float64 before it divides, so the quotient is one rounding
-        from the exact integers only while D and s n (m - 1) are below 2**53;
-        above that each operand is rounded first, and [2**53 + 1] / [3] gives
-        3002399751580330.5 where the exact quotient rounds to
-        3002399751580331.0."""
-        return d / (sizes * (self.n * (self.m - 1)))
+        """EMD = D / (s n (m - 1)) in float64. numpy turns each integer
+        operand, a Python int too, into a float64 before it divides, so the
+        quotient is one rounding from the exact integers only while D and
+        s n (m - 1) are below 2**53; above that each operand is rounded
+        first, and [2**53 + 1] / [3] gives 3002399751580330.5 where the exact
+        quotient rounds to 3002399751580331.0."""
+        return np.true_divide(d, sizes * (self.n * (self.m - 1)))
+
+    def tau_threshold(self, s: int, tau: float) -> int:
+        """The smallest D whose cluster of s records has an EMD above tau under
+        _emds' rounding, so the EMD exceeds tau iff D >= it; s n (m - 1) + 1,
+        above every D, when none does, as for m = 1. Found by bisection, as
+        that EMD never falls as D grows, and kept for the last (s, tau)."""
+        if self._threshold[:2] != (s, tau):
+            lo, hi = -1, s * self.n * (self.m - 1) + 1
+            while self.m > 1 and hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if self._emds(mid, s) > tau else (mid, hi)
+            self._threshold = s, tau, hi
+        return self._threshold[2]
 
     def swap_sums(self, s: int) -> "SwapSums":
         """kfirst's swap sums for clusters of s records (see SwapSums),

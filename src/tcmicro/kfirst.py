@@ -4,13 +4,12 @@ t-closeness, which cluster construction alone cannot."""
 
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import sub
 from typing import Optional
 
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table
+from . import emd
 from .emd import TableEmd, check_params
 from .merge import release
 from .merge import aggregate, make_report, merge_until_tclose  # bench/spans.py patches these here
@@ -37,13 +36,13 @@ class _SwapEmd:
     down(b) < max{down(a) : a < b} or up(b) > min{up(a) : a >= b}, that is
     iff F[p, b] < td[p] or F[p + 1, b] < tu[p], with the thresholds held as
     the (s + 1, 2) array thr; a side with no member gets a threshold below
-    every F. D is an int64, so that the EMD divides as TableEmd's does.
+    every F. D is a Python int.
 
-    A block of candidates is scored in a fixed number of numpy calls. After
-    a swap the O(s) state is rebuilt in a fixed number of numpy calls, or,
-    for s up to _LOOP_SIZE and a tabulated F, over Python ints read from
-    the table; self._values holds each member's (down(a), up(a)) as an
-    (s, 2) array or a list of pairs.
+    A block of candidates is scored in a fixed number of numpy calls. For s
+    up to _LOOP_SIZE and a tabulated F, members, ranks, gd, gu and each
+    member's (down(a), up(a)) are lists of Python ints, rebuilt after a
+    swap from table reads, and numpy builds only the sorted ranks and thr;
+    otherwise they are arrays, rebuilt in a fixed number of numpy calls.
     """
 
     def __init__(self, ctx: TableEmd, members: np.ndarray):
@@ -53,14 +52,17 @@ class _SwapEmd:
         self.size = s = self.members.size
         sums = ctx.swap_sums(s)
         self._pairs, self._triples = sums.pairs, sums.triples
-        self._item = sums.table.item if s <= _LOOP_SIZE and sums.table is not None else None
+        self._item = sums.table.item if s <= emd._LOOP_SIZE and sums.table is not None else None
+        if self._item is not None:
+            self.members, self.ranks = self.members.tolist(), self.ranks.tolist()
         self._never = -ctx.n * (ctx.m + 1)
         self.d = ctx._numerator(np.sort(self.ranks))
-        self._set_emd()
         self._rebuild()
 
-    def _set_emd(self):
-        self.emd = 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
+    @property
+    def emd(self) -> float:
+        """The cluster's EMD, bit for bit TableEmd.cluster_emd's."""
+        return 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
 
     def _rebuild(self):
         """Offsets, each member's down and up and the thresholds: along the
@@ -69,22 +71,30 @@ class _SwapEmd:
         up(r_i) + F[i + 2, r_i], which holds through tied ranks too."""
         s, never, item = self.size, self._never, self._item
         if item is not None:
-            r = sorted(self.ranks.tolist())
-            gd, gu, down, up = [0], [0], [], []
-            for i, rank in enumerate(r):
+            ranks = self.ranks
+            order = sorted(range(s), key=ranks.__getitem__)
+            r = [ranks[j] for j in order]
+            gd, gu, values = [0], [0], [None] * s
+            # thr row by row; down and up lie in [-n m, n m], above never
+            thr, top, low = [never] * (2 * s + 2), never, -never
+            for i, j in enumerate(order):
                 # F[i, rank] at x, F[i + 1, rank] at x + 1, F[i + 2, rank] at x + 3
-                x = 2 * (rank * (s + 1) + i)
+                x = 2 * (r[i] * (s + 1) + i)
                 f1 = item(x + 1)
-                down.append(gd[-1] + item(x))
-                up.append(gu[-1] - f1)
-                gd.append(down[-1] - f1)
-                gu.append(up[-1] + item(x + 3))
-            td = [never, *map(sub, accumulate(down, max), gd[1:])]
-            tu = [*map(sub, gu, [*accumulate(reversed(up), min)][::-1]), never]
-            self._sorted, self._gd, self._gu = np.array(r), gd, gu
-            self._thr = np.array([*zip(td, tu)])
-            by_rank = dict(zip(r, zip(down, up)))
-            self._values = [by_rank[a] for a in self.ranks.tolist()]
+                values[j] = down, up = gd[i] + item(x), gu[i] - f1
+                gd.append(down - f1)
+                gu.append(up + item(x + 3))
+                if down > top:
+                    top = down
+                thr[2 * i + 2] = top - gd[i + 1]
+            for i in range(s - 1, -1, -1):
+                up = values[order[i]][1]
+                if up < low:
+                    low = up
+                thr[2 * i + 1] = gu[i] - low
+            self._sorted = np.array(r)
+            self._gd, self._gu, self._values = gd, gu, values
+            self._thr = np.array(thr).reshape(s + 1, 2)
             return
         order = self.ranks.argsort()
         self._sorted = r = self.ranks[order]
@@ -110,7 +120,7 @@ class _SwapEmd:
         if self._item is not None:
             deltas = [
                 down_b - down if rank > a else up - up_b
-                for a, (down, up) in zip(self.ranks.tolist(), self._values)
+                for a, (down, up) in zip(self.ranks, self._values)
             ]
             delta = min(deltas)
             return deltas.index(delta), delta
@@ -133,9 +143,9 @@ class _SwapEmd:
         if not hits.item(first):
             return -1, -1, 0
         j = first // 2
-        rank, pj = int(candidate_ranks[j]), int(p[j])
+        pj = p.item(j)
         f0, f1 = f[j].tolist()
-        pos, delta = self._best(rank, int(self._gd[pj]) + f0, int(self._gu[pj]) - f1)
+        pos, delta = self._best(candidate_ranks.item(j), self._gd[pj] + f0, self._gu[pj] - f1)
         return j, pos, delta
 
     def apply_swap(self, pos: int, candidate: int, candidate_rank: int, delta: int):
@@ -145,14 +155,14 @@ class _SwapEmd:
         self.ranks[pos] = candidate_rank
         self.members[pos] = candidate
         self._rebuild()
-        self._set_emd()
 
 
-# a cluster of at most this many members over a tabulated F rebuilds its swap
-# state over Python ints, a larger one in numpy: on a 2-core Xeon VM
-# (Python 3.11, numpy 2.4) the loop's cost grows by about 1.5 us a member and
-# the two cost about the same, 20 us a rebuild, near s = 10
-_LOOP_SIZE = 10
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """np.argsort(keys, kind="stable") from one unstable sort when the sorted
+    keys strictly increase, since distinct keys have one sorted order; from
+    the stable sort otherwise."""
+    order = keys.argsort()
+    return order if (np.diff(keys[order]) > 0).all() else keys.argsort(kind="stable")
 
 
 # candidates scored per block: _FIRST_BLOCK after each accepted swap, doubled
@@ -176,21 +186,22 @@ def generate_cluster(
     """
     if candidates.size < 2 * k:
         return np.sort(candidates)
-    others = candidates != seed
-    ordered = candidates[others][np.argsort(dist[others], kind="stable")]
+    ordered = candidates[_stable_argsort(dist)]
+    ordered = ordered[ordered != seed]
     state = _SwapEmd(ctx, np.concatenate([[seed], ordered[: k - 1]]))
     rest = ordered[k - 1 :]
     rest_ranks = ctx.ranks[rest]
+    over = ctx.tau_threshold(k, tau)
     # a block of candidates is scored against the unchanged state; after the
     # first improving candidate the state changes and scoring resumes past it
     at, block = 0, _FIRST_BLOCK
-    while at < rest.size and state.emd > tau:
+    while at < rest.size and state.d >= over:
         j, pos, delta = state.first_swap(rest_ranks[at : at + block])
         if j < 0:
             at += block
             block *= 2
             continue
-        state.apply_swap(pos, int(rest[at + j]), int(rest_ranks[at + j]), delta)
+        state.apply_swap(pos, rest.item(at + j), rest_ranks.item(at + j), delta)
         at += j + 1
         block = _FIRST_BLOCK
     return np.sort(state.members)

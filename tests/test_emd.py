@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcmicro import (
@@ -24,7 +24,7 @@ from oracles import (
     max_emd_bound,
     transport_oracle_emd,
 )
-from util import make_1d_table, make_ranks_table
+from util import make_1d_table, make_ranks_table, swap_paths
 
 
 def uniform(m, support=None):
@@ -189,6 +189,102 @@ class TestPartitionEmds:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             TableEmd(make_ranks_table(4)).partition_emds(np.arange(4), np.array([0, 4]))
+
+
+def counts_only_emd(n: int, m: int) -> TableEmd:
+    """A TableEmd of n records over m distinct values with no table behind
+    it, for tables too large to build here: tau_threshold reads only n and
+    m."""
+    ctx = TableEmd.__new__(TableEmd)
+    ctx.n, ctx.m, ctx._threshold = n, m, (None, None, None)
+    return ctx
+
+
+@st.composite
+def threshold_cases(draw):
+    """(n, m, s, tau): n records over m distinct values, m = 1 included and
+    n * n * m < 2**63, a cluster size s <= n, and a tau at or a few ulps
+    from one cluster's rounded EMD, or anywhere in (0, 2)."""
+    n = draw(st.one_of(st.integers(1, 50), st.integers(2**18, 2**21 - 1)))
+    m = draw(st.one_of(st.just(1), st.integers(1, min(n, (2**63 - 1) // (n * n)))))
+    s = draw(st.integers(1, n))
+    den = s * n * (m - 1)
+    if den and draw(st.booleans()):
+        tau = float(np.int64(draw(st.integers(0, den))) / np.int64(den))
+        for _ in range(draw(st.integers(0, 2))):
+            tau = float(np.nextafter(tau, draw(st.sampled_from([0.0, 2.0]))))
+    else:
+        tau = draw(st.floats(0, 2, exclude_min=True))
+    return n, m, s, tau
+
+
+class TestTauThreshold:
+    # s n (m - 1) and D* above 2**53, where consecutive numerators round to
+    # one float: at tau = 0.1, and at the rounded EMD of D = 2**60 + 1
+    @example(case=(2**21 - 1, 2**20, 2**21 - 1, 0.1))
+    @example(case=(2**21 - 1, 2**20, 2**21 - 1,
+                   float(np.int64(2**60 + 1) / np.int64((2**21 - 1) ** 2 * (2**20 - 1)))))
+    @example(case=(7, 1, 3, 0.25))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(threshold_cases())
+    def test_integer_threshold_is_the_float_rule(self, case):
+        # every D within 3 of D*, and 0 and s n (m - 1), the largest D
+        n, m, s, tau = case
+        ctx = counts_only_emd(n, m)
+        star = ctx.tau_threshold(s, tau)
+        den = s * n * (m - 1)
+        with np.errstate(invalid="ignore"):
+            for d in [0, den, *range(star - 3, star + 4)]:
+                if 0 <= d <= den:
+                    assert (d >= star) == (float(np.int64(d) / np.int64(den)) > tau)
+        # no EMD exceeds 2, and the kept value follows the last (s, tau)
+        assert ctx.tau_threshold(s, 2.0) == den + 1
+        assert ctx.tau_threshold(s, tau) == star
+
+    def test_on_a_table(self):
+        # every pair of the ranks 1..6, at taus equal to and between their
+        # EMDs
+        table = make_ranks_table(6)
+        ctx = TableEmd(table)
+        for tau in (0.1, 0.2, 1 / 6, 4 / 15, 0.4):
+            star = ctx.tau_threshold(2, tau)
+            for pair in combinations(range(6), 2):
+                d = emd_numerator(table.confidential_column(), pair)
+                assert (d >= star) == (ctx.cluster_emd(pair) > tau)
+
+
+@st.composite
+def small_clusters(draw):
+    """A column of n = m * reps records over m ranks, each rank held by reps
+    records, and a cluster of s <= _LOOP_SIZE of them whose ranks repeat and
+    take the ends 0 and m - 1 often."""
+    s = draw(st.integers(1, emd._LOOP_SIZE))
+    m = draw(st.integers(1, 9))
+    reps = draw(st.integers(s, s + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ranks = rng.permutation(np.arange(m * reps) % m)
+    ends = st.sampled_from([0, m - 1])
+    wanted = draw(st.lists(st.one_of(ends, st.integers(0, m - 1)), min_size=s, max_size=s))
+    members = []
+    for r in set(wanted):
+        members += rng.choice(np.flatnonzero(ranks == r), wanted.count(r), replace=False).tolist()
+    return make_1d_table(np.zeros(ranks.size), ranks * 1.5 - 2), np.array(members)
+
+
+class TestSmallNumerator:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(small_clusters())
+    def test_python_ints_match_the_numpy_kernel(self, case):
+        table, members = case
+        ctx = TableEmd(table)
+        ranks = np.sort(ctx.ranks[members])
+        d = ctx._numerator(ranks)
+        assert type(d) is int
+        assert d == emd_numerator(table.confidential_column(), members)
+        with swap_paths(True, loop=False):
+            assert ctx._numerator(ranks) == d
+        kernel = ctx.partition_emds(np.sort(members), np.array([0]))
+        assert np.float64(ctx.cluster_emd(members)).tobytes() == kernel.tobytes()
 
 
 class TestInt64Range:

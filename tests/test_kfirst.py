@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tcmicro import (
     SynthConfig,
@@ -15,7 +17,7 @@ from tcmicro import (
     verify_t_closeness,
 )
 import tcmicro.kfirst as kfirst
-from tcmicro.kfirst import _SwapEmd
+from tcmicro.kfirst import _SwapEmd, _stable_argsort
 from tcmicro.microagg import sq_distances
 from oracles import (
     emd_numerator,
@@ -24,7 +26,14 @@ from oracles import (
     swap_delta_matrix,
     swap_prefix_sums,
 )
-from util import SWAP_PATHS, make_1d_table, make_ranks_table, swap_down_up, swap_paths
+from util import (
+    SWAP_PATHS,
+    make_1d_table,
+    make_ranks_table,
+    swap_down_up,
+    swap_paths,
+    swap_state,
+)
 
 
 def small_table(n=120, seed=6):
@@ -44,6 +53,20 @@ def emd(table, members):
 
 def partition(table, k, tau):
     return kfirst_partition(table, k, tau, minmax_params(table), TableEmd(table))
+
+
+class TestStableArgsort:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 400), st.integers(0, 6), st.integers(0, 2**32 - 1))
+    def test_matches_the_stable_argsort(self, n, distinct, seed):
+        # distinct == 0: no two keys equal; otherwise keys from that many
+        # values, so longer arrays tie
+        rng = np.random.default_rng(seed)
+        if distinct:
+            keys = rng.integers(0, distinct, n) * 0.25
+        else:
+            keys = rng.permutation(n) * 0.25
+        assert _stable_argsort(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
 
 class TestGenerateCluster:
@@ -79,9 +102,9 @@ class TestGenerateCluster:
 
         class RecordingSwapEmd(_SwapEmd):
             def apply_swap(self, pos, candidate, candidate_rank, delta):
-                before = self.members.tolist()
+                before = list(self.members)
                 super().apply_swap(pos, candidate, candidate_rank, delta)
-                accepted.append((before, self.members.tolist()))
+                accepted.append((before, list(self.members)))
 
         monkeypatch.setattr(kfirst, "_SwapEmd", RecordingSwapEmd)
         t = small_table(60, 8)
@@ -135,13 +158,33 @@ class TestGenerateCluster:
                     delta = swap_delta_matrix(ctx.ranks, state.members, [rank])[0, pos]
                     state.apply_swap(pos, int(candidate), rank, int(delta))
                     fresh = _SwapEmd(ctx, state.members)
-                    for name in ("ranks", "_sorted", "_gd", "_gu", "_values", "_thr"):
-                        assert np.array_equal(getattr(state, name), getattr(fresh, name))
-                    assert state.d == fresh.d
-                    assert state.emd == fresh.emd
+                    # the loop holds members, ranks, gd, gu and values as
+                    # lists of Python ints
+                    assert isinstance(state.members, list) == loop
+                    assert isinstance(state._gd, list) == loop
+                    assert swap_state(state) == swap_state(fresh)
                     down, up = swap_prefix_sums(ctx, ctx.ranks[state.members])
                     want = list(zip(down.tolist(), up.tolist()))
                     assert swap_down_up(state) == want
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_ties_at_distance_zero_keep_the_scan_order(self, k):
+        # 300 records on 6 distinct QI values over 10 confidential values;
+        # each seed is the last record of its QI value, so every earlier copy
+        # ties at distance 0 and the order among the ties decides which
+        # enter and are swapped
+        rng = np.random.default_rng(k)
+        label = rng.integers(0, 6, 300)
+        t = make_1d_table(np.array([0.0, 1.0, 2.0, 0.5, 3.0, 5.0])[label], rng.integers(0, 10, 300))
+        ctx = TableEmd(t)
+        x = normalized_qi(t, minmax_params(t))
+        pool = np.arange(300)
+        for point in range(6):
+            seed = int(np.flatnonzero(label == point)[-1])
+            for tau in (0.02, 0.1):
+                got = generate(seed, pool, t, k, tau)
+                want = scan_generate_cluster(seed, pool, x, ctx, k, tau)
+                assert got.tolist() == want.tolist()
 
     def test_refuses_a_zero_gain_swap(self):
         # a float scorer read this cluster's EMD as 0.09523809523809525, one

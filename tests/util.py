@@ -11,9 +11,9 @@ from tcmicro import AttributeSpec, Role, Table
 from tcmicro.microagg import _exact_mean, _exact_sums
 
 # kfirst's swap state reads the swap sums F from a table or evaluates them
-# in closed form, and rebuilds after a swap in numpy or, over a table, in
-# Python ints; cluster size selects the path, and numpy_rebuild_sides
-# compares the two numpy sides
+# in closed form, and is held in numpy or, over a table, in Python ints;
+# cluster size selects the path, and numpy_rebuild_sides compares the two
+# numpy sides
 SWAP_PATHS = [(True, True), (True, False), (False, False)]
 SWAP_PATH_IDS = ["table-loop", "table-numpy", "closed-numpy"]
 
@@ -21,11 +21,13 @@ SWAP_PATH_IDS = ["table-loop", "table-numpy", "closed-numpy"]
 @contextmanager
 def swap_paths(tabulate: bool, loop: bool):
     """Force the swap sums to be tabulated or not, and the swap state to be
-    rebuilt over Python ints (given a table) or in numpy, whatever the
-    cluster size, for TableEmds made inside the block."""
+    held in Python ints (given a table) or in numpy, whatever the cluster
+    size, for states made inside the block; the one size constant,
+    emd._LOOP_SIZE, also selects the EMD numerator's Python-int or numpy
+    steps."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tcmicro.emd, "_MAX_TABLE_ROWS", 1 << 62 if tabulate else 0)
-        mp.setattr(tcmicro.kfirst, "_LOOP_SIZE", 1 << 62 if loop else 0)
+        mp.setattr(tcmicro.emd, "_LOOP_SIZE", 1 << 62 if loop else 0)
         yield
 
 
@@ -41,9 +43,10 @@ def swap_down_up(state) -> list[tuple[int, int]]:
 
 
 def swap_state(state) -> tuple:
-    """Everything a kfirst swap state holds after a rebuild, as plain lists."""
+    """Everything a kfirst swap state holds after a rebuild, as plain lists
+    whether it holds lists of Python ints or arrays."""
     return tuple(np.asarray(a).tolist() for a in (
-        state.members, state._sorted, state._gd, state._gu, state._thr, state._values,
+        state.members, state.ranks, state._sorted, state._gd, state._gu, state._thr, state._values,
     )) + (state.d, state.emd)
 
 
