@@ -25,13 +25,11 @@ from .kfirst import generate_cluster, kfirst_partition, run_kfirst_algorithm
 from .merge import merge_until_tclose, run_merge_algorithm
 from .metrics import (
     RunReport,
-    cluster_size_stats,
     normalized_sse,
     verify_k_anonymity,
     verify_t_closeness,
 )
 from .microagg import (
-    Cluster,
     Partition,
     aggregate,
     mdav_partition,
@@ -44,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnonymizedTable",
     "AttributeSpec",
-    "Cluster",
     "Partition",
     "Role",
     "RunReport",
@@ -55,7 +52,6 @@ __all__ = [
     "adjust_cluster_size",
     "aggregate",
     "build_cluster",
-    "cluster_size_stats",
     "generate_cluster",
     "kfirst_partition",
     "load_anonymized_csv",

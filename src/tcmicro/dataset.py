@@ -287,7 +287,7 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
     is quoted, and each line ends in csv.writer's "\\r\\n". A column of at
     most _BLOCK distinct values, such as a release's QI column, calls repr
     once per distinct value for the whole file; any other column once per
-    distinct value in each block."""
+    cell."""
     if isinstance(data, AnonymizedTable):
         table, ids = data.table, data.cluster_ids
     else:
@@ -301,7 +301,7 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
         for start in range(0, table.n, _BLOCK):
             block = table.rows[start:start + _BLOCK]
             columns = [
-                _repr_column(block[:, j]) if texts is None else texts[start:start + _BLOCK]
+                map(repr, block[:, j].tolist()) if texts is None else texts[start:start + _BLOCK]
                 for j, texts in enumerate(whole)
             ]
             if ids is not None:
@@ -310,9 +310,11 @@ def write_csv(data: Union[Table, AnonymizedTable], path: Union[str, Path]) -> No
 
 
 def _few_distinct_reprs(col: np.ndarray) -> Optional[np.ndarray]:
-    """_repr_column(col) when col holds at most _BLOCK distinct bit patterns,
-    else None. The first 2 * _BLOCK cells are tested before the whole
-    column, so a column of mostly distinct values pays one small sort."""
+    """repr of every float in col as an object array, computed once per
+    distinct bit pattern so -0.0 and 0.0 keep their own text, when col holds
+    at most _BLOCK distinct bit patterns; else None. The first 2 * _BLOCK
+    cells are tested before the whole column, so a column of mostly
+    distinct values pays one small sort."""
     head = np.sort(col[:2 * _BLOCK].view(np.int64))
     if np.count_nonzero(head[1:] != head[:-1]) >= _BLOCK:
         return None
@@ -320,13 +322,6 @@ def _few_distinct_reprs(col: np.ndarray) -> Optional[np.ndarray]:
     if bits.size > _BLOCK:
         return None
     return np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
-
-
-def _repr_column(col: np.ndarray) -> np.ndarray:
-    """repr of every float in col as an object array, computed once per
-    distinct bit pattern, so -0.0 and 0.0 keep their own text."""
-    _, first, inverse = np.unique(col.view(np.int64), return_index=True, return_inverse=True)
-    return np.array([repr(v) for v in col[first].tolist()], dtype=object)[inverse]
 
 
 # lognormal sigma of the synthetic QI marginals: the heavy right tail typical

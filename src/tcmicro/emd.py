@@ -62,8 +62,6 @@ class TableEmd:
         members = np.asarray(members)
         if members.size == 0:
             raise ValueError("cluster is empty")
-        if self.m == 1:
-            return 0.0
         return float(self._emds(self._numerator(np.sort(self.ranks[members])), members.size))
 
     def partition_emds(self, order, starts) -> np.ndarray:
@@ -75,8 +73,6 @@ class TableEmd:
         if not sizes.all():
             raise ValueError("cluster is empty")
         m = self.m
-        if m == 1:
-            return np.zeros(sizes.size)
         ranks = self.ranks[order]
         labels = np.repeat(np.arange(sizes.size), sizes)
         # sorting keeps the clusters in order, each one's ranks ascending
@@ -125,13 +121,14 @@ class TableEmd:
         return 2 * p + (n * (sizes * self.m - rank_sums) - sizes * sb[-1])
 
     def _emds(self, d, sizes) -> np.ndarray:
-        """EMD = D / (s n (m - 1)) in float64. numpy turns each integer
-        operand, a Python int too, into a float64 before it divides, so the
-        quotient is one rounding from the exact integers only while D and
-        s n (m - 1) are below 2**53; above that each operand is rounded
+        """EMD = D / (s n (m - 1)) in float64, with m - 1 read as 1 when
+        m = 1, where every D is 0 and so every EMD 0.0. numpy turns each
+        integer operand, a Python int too, into a float64 before it divides,
+        so the quotient is one rounding from the exact integers only while D
+        and s n (m - 1) are below 2**53; above that each operand is rounded
         first, and [2**53 + 1] / [3] gives 3002399751580330.5 where the exact
         quotient rounds to 3002399751580331.0."""
-        return np.true_divide(d, sizes * (self.n * (self.m - 1)))
+        return np.true_divide(d, sizes * (self.n * max(self.m - 1, 1)))
 
     def tau_threshold(self, s: int, tau: float) -> int:
         """The smallest D whose cluster of s records has an EMD above tau under
@@ -140,7 +137,7 @@ class TableEmd:
         that EMD never falls as D grows, and kept for the last (s, tau)."""
         if self._threshold[:2] != (s, tau):
             lo, hi = -1, s * self.n * (self.m - 1) + 1
-            while self.m > 1 and hi - lo > 1:
+            while hi - lo > 1:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if self._emds(mid, s) > tau else (mid, hi)
             self._threshold = s, tau, hi
@@ -152,12 +149,6 @@ class TableEmd:
         if self._swap_sums is None or self._swap_sums.s != s:
             self._swap_sums = SwapSums(self, s)
         return self._swap_sums
-
-    def max_cluster_emd(self, order, starts) -> tuple[float, int]:
-        """The largest EMD of partition_emds(order, starts) and its lowest index."""
-        emds = self.partition_emds(order, starts)
-        worst = int(np.argmax(emds))
-        return float(emds[worst]), worst
 
 
 # SwapSums tabulates F when its table has at most this many rows, 16 bytes

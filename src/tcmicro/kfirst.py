@@ -62,7 +62,7 @@ class _SwapEmd:
     @property
     def emd(self) -> float:
         """The cluster's EMD, bit for bit TableEmd.cluster_emd's."""
-        return 0.0 if self.ctx.m == 1 else float(self.ctx._emds(self.d, self.size))
+        return float(self.ctx._emds(self.d, self.size))
 
     def _rebuild(self):
         """Offsets, each member's down and up and the thresholds: along the
@@ -211,8 +211,8 @@ def kfirst_partition(
     table: Table, k: int, tau: float, params: NormalizationParams, ctx: TableEmd
 ) -> Partition:
     """Full k-anonymity-first partition: one generate_cluster per seed from
-    seeded_partition. Cluster sizes lie in [k, 2k-1]; clusters need not all be
-    t-close yet (see run_kfirst_algorithm)."""
+    seeded_partition. Every cluster size lies in [k, 2k-1]; clusters need not
+    all be t-close yet (see run_kfirst_algorithm)."""
     check_params(table.n, k, tau)
 
     def build(seed, ids, alive, dist):

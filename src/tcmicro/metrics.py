@@ -1,6 +1,5 @@
 """Independent verifiers and information-loss metrics: normalized SSE,
-k-anonymity and t-closeness checks, cluster-size statistics and the run
-report."""
+k-anonymity and t-closeness checks and the run report."""
 
 from __future__ import annotations
 
@@ -106,12 +105,10 @@ def verify_t_closeness(table: Table, anonymized: AnonymizedTable, tau: float) ->
     class with the largest EMD, the lowest id on ties."""
     ids = anonymized.cluster_ids
     order, starts = _classes(ids[:, None])
-    max_emd, worst = TableEmd(table).max_cluster_emd(order, starts)
+    emds = TableEmd(table).partition_emds(order, starts)
+    worst = int(np.argmax(emds))  # the first index of the maximum
+    max_emd = float(emds[worst])
     return TClosenessCheck(max_emd <= tau, tau, max_emd, int(ids[order[starts[worst]]]))
-
-
-def cluster_size_stats(partition: Partition) -> tuple[int, float]:
-    return min(partition.sizes()), partition.n / len(partition)
 
 
 def make_report(
@@ -126,15 +123,14 @@ def make_report(
     runtime_ms: float,
     seed: Optional[int] = None,
 ) -> RunReport:
-    k_min, k_avg = cluster_size_stats(partition)
     return RunReport(
         algorithm=algorithm,
         n=table.n,
         k_requested=k_requested,
         tau=tau,
-        k_min_actual=k_min,
-        k_avg_actual=k_avg,
-        max_cluster_emd=ctx.max_cluster_emd(partition.order, partition.starts)[0],
+        k_min_actual=min(partition.sizes()),
+        k_avg_actual=partition.n / len(partition),
+        max_cluster_emd=float(ctx.partition_emds(partition.order, partition.starts).max()),
         sse=normalized_sse(table, anonymized, params),
         runtime_ms=runtime_ms,
         seed=seed,

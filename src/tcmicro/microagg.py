@@ -1,34 +1,15 @@
-"""Record-space geometry, clusters and partitions, MDAV partitioning, and
+"""Record-space geometry, partitions, MDAV partitioning, and
 centroid aggregation into an anonymized release."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .dataset import AnonymizedTable, NormalizationParams, Table
 from .emd import check_params
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A nonempty, duplicate-free set of record indices, stored sorted."""
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        members = np.sort(np.asarray(self.members, dtype=np.int64))
-        if members.size == 0:
-            raise ValueError("a cluster must contain at least one record")
-        if np.any(np.diff(members) == 0):
-            raise ValueError("cluster members must be distinct record indices")
-        members.setflags(write=False)
-        object.__setattr__(self, "members", members)
-
-    def __len__(self) -> int:
-        return int(self.members.size)
 
 
 class Partition:
@@ -61,9 +42,10 @@ class Partition:
         return self.starts.size
 
     @property
-    def clusters(self) -> tuple[Cluster, ...]:
-        """One Cluster per cluster, built on each access (for bench/)."""
-        return tuple(Cluster(g) for g in np.split(self.order, self.starts[1:]))
+    def clusters(self) -> list[SimpleNamespace]:
+        """One object per cluster whose .members is a read-only slice of
+        order; bench/worker.py is its only reader."""
+        return [SimpleNamespace(members=g) for g in np.split(self.order, self.starts[1:])]
 
 
 def normalized_qi(table: Table, params: NormalizationParams) -> np.ndarray:

@@ -24,6 +24,7 @@ from tcmicro.dataset import AnonymizedTable, AttributeSpec, Table, _parse_cells
 from tcmicro.emd import TableEmd, check_params
 from tcmicro.metrics import KAnonymityCheck
 from tcmicro.microagg import Partition, normalized_qi
+from util import groups
 
 MASS_TOLERANCE = 1e-12
 
@@ -256,27 +257,27 @@ def list_merge_until_tclose(table, partition, tau, params, ctx):
     if partition.n != table.n:
         raise ValueError("partition does not match the table size")
 
-    emds = [ctx.cluster_emd(c.members) for c in partition.clusters]
+    clusters = groups(partition)
+    emds = [ctx.cluster_emd(g) for g in clusters]
     if max(emds) <= tau:
         return partition
 
     x = normalized_qi(table, params)
-    groups = [c.members for c in partition.clusters]
-    centroids = [fraction_mean(x[g]) for g in groups]
+    centroids = [fraction_mean(x[g]) for g in clusters]
 
-    while max(emds) > tau and len(groups) > 1:
+    while max(emds) > tau and len(clusters) > 1:
         worst = int(np.argmax(emds))
         dists = sq_distances(np.array(centroids), centroids[worst])
         dists[worst] = np.inf
         other = int(np.argmin(dists))
         lo, hi = sorted((worst, other))
-        merged = np.sort(np.concatenate([groups[lo], groups[hi]]))
-        groups[lo] = merged
+        merged = np.sort(np.concatenate([clusters[lo], clusters[hi]]))
+        clusters[lo] = merged
         centroids[lo] = fraction_mean(x[merged])
         emds[lo] = ctx.cluster_emd(merged)
-        del groups[hi], centroids[hi], emds[hi]
+        del clusters[hi], centroids[hi], emds[hi]
 
-    return Partition(groups)
+    return Partition(clusters)
 
 
 def unique_verify_k_anonymity(anonymized: AnonymizedTable, k: int) -> KAnonymityCheck:

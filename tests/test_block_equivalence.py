@@ -55,6 +55,7 @@ from util import (
     SWAP_PATH_IDS,
     SWAP_PATHS,
     cluster_means,
+    groups,
     numpy_rebuild_sides,
     same_bits,
     swap_down_up,
@@ -140,7 +141,7 @@ def tfirst_groups(table: Table, k: int, x: np.ndarray) -> list[np.ndarray]:
         return build_cluster(ranked, drec)
 
     part = seeded_partition(x, build)
-    return [c.members for c in part.clusters]
+    return groups(part)
 
 
 def assert_same_groups(got, want):
@@ -273,7 +274,7 @@ def lazy_mdav(x: np.ndarray, k: int, watch: bool = False):
         return np.sort(ids[np.argsort(dist, kind="stable")[:k]])
 
     part = seeded_partition(x, build)
-    return [c.members for c in part.clusters], widths, stale
+    return groups(part), widths, stale
 
 
 def lazy_case(name: str) -> np.ndarray:
@@ -343,7 +344,7 @@ def test_mdav_matches_argsort_build(case):
     table, k = case
     x = normalized_qi(table, minmax_params(table))
     part = mdav_partition(table, minmax_params(table), k)
-    assert_same_groups([c.members for c in part.clusters], oracle_mdav(x, k))
+    assert_same_groups(groups(part), oracle_mdav(x, k))
 
 
 @pytest.mark.parametrize(
@@ -372,11 +373,11 @@ def kfirst_groups(table: Table, k: int, tau: float, scan: bool = False) -> list[
         return generate_cluster(seed, ids[alive], dist[alive], ctx, k, tau)
 
     part = seeded_partition(x, build)
-    return [c.members for c in part.clusters]
+    return groups(part)
 
 
 def merged_groups(table: Table, part, tau: float, merge) -> list[np.ndarray]:
-    return [c.members for c in merge(table, part, tau, minmax_params(table), TableEmd(table)).clusters]
+    return groups(merge(table, part, tau, minmax_params(table), TableEmd(table)))
 
 
 def assert_same_kfirst_and_merge(table: Table, k: int, tau: float):
@@ -568,8 +569,8 @@ def test_merge_at_the_exact_max_matches_loop():
         table = synth_generate(SynthConfig(n=n, qi_count=2, target_correlation=0.52, seed=seed))
         part = mdav_partition(table, minmax_params(table), k)
         conf = table.confidential_column()
-        top = max(exact_emd(conf, c.members) for c in part.clusters)
-        assert TableEmd(table).max_cluster_emd(part.order, part.starts)[0] == top
+        top = max(exact_emd(conf, g) for g in groups(part))
+        assert TableEmd(table).partition_emds(part.order, part.starts).max() == top
         for tau in (np.nextafter(top, -np.inf), top, np.nextafter(top, np.inf)):
             assert_same_groups(
                 merged_groups(table, part, tau, merge_until_tclose),

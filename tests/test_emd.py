@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcmicro import (
+    AnonymizedTable,
     SynthConfig,
     TableEmd,
     adjust_cluster_size,
@@ -14,6 +15,7 @@ from tcmicro import (
     min_emd_bound,
     required_cluster_size,
     synth_generate,
+    verify_t_closeness,
 )
 from oracles import (
     Distribution,
@@ -144,6 +146,16 @@ def partitioned_tables(draw):
     return table, [np.flatnonzero(labels == c) for c in order]
 
 
+def verified_worst(table, groups) -> tuple[float, int]:
+    """verify_t_closeness's largest EMD and worst cluster id over a release
+    that gives the records of groups[i] the cluster id i."""
+    ids = np.empty(table.n, dtype=np.int64)
+    for i, g in enumerate(groups):
+        ids[g] = i
+    check = verify_t_closeness(table, AnonymizedTable(table, ids), 1.0)
+    return check.max_emd, check.worst_cluster
+
+
 def assert_kernel_is_exact(table, groups):
     ctx = TableEmd(table)
     order, starts = np.concatenate(groups), np.cumsum([0] + [len(g) for g in groups[:-1]])
@@ -156,7 +168,7 @@ def assert_kernel_is_exact(table, groups):
     ordered = [emd_ordered(distribution_of(conf[g], ctx.support), whole) for g in groups]
     assert emds == pytest.approx(ordered, abs=1e-12)
     worst = int(np.argmax(emds))
-    assert ctx.max_cluster_emd(order, starts) == (emds[worst], worst)
+    assert verified_worst(table, groups) == (emds[worst], worst)
 
 
 class TestPartitionEmds:
@@ -175,16 +187,17 @@ class TestPartitionEmds:
     def test_exact_ties_take_the_lowest_index(self):
         # the singletons of the lowest value, records 2 and 4, tie for the
         # worst EMD bit for bit
-        ctx = TableEmd(make_1d_table(np.zeros(6), [2.0, 3.0, 1.0, 3.0, 1.0, 3.0]))
+        table = make_1d_table(np.zeros(6), [2.0, 3.0, 1.0, 3.0, 1.0, 3.0])
+        ctx = TableEmd(table)
         assert ctx.cluster_emd([4]) == ctx.cluster_emd([2])
-        assert ctx.max_cluster_emd(np.arange(6), np.arange(6)) == (ctx.cluster_emd([2]), 2)
+        assert verified_worst(table, [[i] for i in range(6)]) == (ctx.cluster_emd([2]), 2)
 
     def test_whole_table_is_exactly_zero(self):
         t = synth_generate(SynthConfig(n=500, qi_count=2, target_correlation=0.52, seed=4))
         ctx = TableEmd(t)
         assert emd_numerator(t.confidential_column(), np.arange(500)) == 0
         assert ctx.partition_emds(np.arange(500), np.array([0])).tolist() == [0.0]
-        assert ctx.max_cluster_emd(np.arange(500), np.array([0])) == (0.0, 0)
+        assert verified_worst(t, [np.arange(500)]) == (0.0, 0)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -29,6 +29,7 @@ from tcmicro import (
     run_tfirst_algorithm,
     synth_generate,
 )
+from util import groups
 
 PIPELINES = {
     "merge": run_merge_algorithm,
@@ -96,9 +97,9 @@ def cells() -> list[str]:
 
 def digest(partition) -> str:
     h = hashlib.sha256()
-    for cluster in partition.clusters:
-        h.update(np.int64(len(cluster)).tobytes())
-        h.update(cluster.members.astype("<i8").tobytes())
+    for members in groups(partition):
+        h.update(np.int64(len(members)).tobytes())
+        h.update(members.astype("<i8").tobytes())
     return h.hexdigest()
 
 

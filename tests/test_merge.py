@@ -15,7 +15,7 @@ from tcmicro import (
     run_merge_algorithm,
 )
 from test_golden_partitions import tables as golden_tables
-from util import make_ranks_table
+from util import groups, make_ranks_table
 
 
 # kfirst's partitions of two golden tables at k=5, t=0.05, stored as each
@@ -68,7 +68,7 @@ class TestMergeUntilTclose:
         part = mdav_partition(t, minmax_params(t), 2)
         out = merge(t, part, 0.0)
         assert len(out) == 1
-        assert TableEmd(t).cluster_emd(out.clusters[0].members) == 0.0
+        assert TableEmd(t).cluster_emd(out.order) == 0.0
 
     def test_two_clusters_one_violating(self):
         t = make_ranks_table(6)
@@ -80,9 +80,9 @@ class TestMergeUntilTclose:
         t = small_table(200, 9)
         part = mdav_partition(t, minmax_params(t), 2)
         out = merge(t, part, 0.08)
-        originals = [set(c.members) for c in part.clusters]
-        for merged in out.clusters:
-            block = set(merged.members)
+        originals = [set(g) for g in groups(part)]
+        for merged in groups(out):
+            block = set(merged)
             used = [o for o in originals if o & block]
             assert set().union(*used) == block  # union of whole input clusters
 
@@ -102,7 +102,7 @@ class TestMergeUntilTclose:
         table = golden_tables()[name]
         params = minmax_params(table)
         part = stored_partition(name)
-        groups = [c.members for c in part.clusters]
+        before = groups(part)
         emds = TableEmd(table).partition_emds(part.order, part.starts)
         assert emds.max() == top
         assert np.flatnonzero(emds == top).tolist() == tied
@@ -115,7 +115,7 @@ class TestMergeUntilTclose:
                 return super().cluster_emd(members)
 
         merge_until_tclose(table, part, 0.05, params, RecordingEmd(table))
-        assert [i for i, g in enumerate(groups) if merged[0] >= set(g.tolist())] == first_pair
+        assert [i for i, g in enumerate(before) if merged[0] >= set(g.tolist())] == first_pair
 
 
 class TestRunMerge:
@@ -123,9 +123,7 @@ class TestRunMerge:
         t = small_table()
         _, part, report = run_merge_algorithm(t, 2, 1.0)
         mdav = mdav_partition(t, minmax_params(t), 2)
-        assert [tuple(c.members) for c in part.clusters] == [
-            tuple(c.members) for c in mdav.clusters
-        ]
+        assert [tuple(g) for g in groups(part)] == [tuple(g) for g in groups(mdav)]
         assert report.k_min_actual == 2
 
     def test_tiny_tau_full_collapse(self):

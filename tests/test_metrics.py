@@ -11,7 +11,6 @@ from tcmicro import (
     Table,
     TableEmd,
     aggregate,
-    cluster_size_stats,
     mdav_partition,
     minmax_params,
     normalized_sse,
@@ -20,8 +19,9 @@ from tcmicro import (
     verify_k_anonymity,
     verify_t_closeness,
 )
+from tcmicro.metrics import make_report
 from oracles import Distribution, emd_ordered, transport_oracle_emd
-from util import make_1d_table, make_ranks_table
+from util import groups, make_1d_table, make_ranks_table
 
 
 def linprog_emd(p: Distribution, q: Distribution) -> float:
@@ -145,7 +145,7 @@ class TestVerifyTCloseness:
         rows = [[0, 2, 0], [1, 1, 1], [0, 0, 1], [1, 2, 0], [1, 0, 2], [2, 1, 3]]
         t = Table(specs, np.array(rows, dtype=np.float64))
         anon, part, _ = run_kfirst_algorithm(t, 2, 0.25)
-        assert [c.members.tolist() for c in part.clusters] == [[1, 3], [2, 4], [0, 5]]
+        assert [g.tolist() for g in groups(part)] == [[1, 3], [2, 4], [0, 5]]
         qi = anon.table.qi_matrix()
         assert qi[[0, 1, 3, 5]].tolist() == [[1.0, 1.5]] * 4
         assert verify_k_anonymity(anon, 2).ok
@@ -186,11 +186,25 @@ class TestTransportOracle:
             assert transport_oracle_emd(p, q) == pytest.approx(linprog_emd(p, q), abs=1e-8)
 
 
+def report_of(clusters) -> tuple:
+    """make_report's cluster sizes and worst EMD for these clusters of a
+    ranks table, with partition_emds' largest EMD."""
+    table, part = make_ranks_table(sum(map(len, clusters))), Partition(clusters)
+    ctx = TableEmd(table)
+    report = make_report(
+        "mdav", table, minmax_params(table), ctx, part, aggregate(table, part), 2, 0.5, 0.0
+    )
+    top = ctx.partition_emds(part.order, part.starts).max()
+    return report.k_min_actual, report.k_avg_actual, report.max_cluster_emd, top
+
+
 class TestClusterSizeStats:
     def test_mixed_sizes(self):
-        part = Partition([[0, 1, 2], [3, 4, 5, 6]])
-        assert cluster_size_stats(part) == (3, 3.5)
+        k_min, k_avg, worst, top = report_of([[0, 1, 2], [3, 4, 5, 6]])
+        assert (k_min, k_avg) == (3, 3.5)
+        assert worst == top > 0
 
     def test_uniform(self):
-        part = Partition([np.arange(i * 10, (i + 1) * 10) for i in range(4)])
-        assert cluster_size_stats(part) == (10, 10.0)
+        k_min, k_avg, worst, top = report_of([np.arange(i * 10, (i + 1) * 10) for i in range(4)])
+        assert (k_min, k_avg) == (10, 10.0)
+        assert worst == top > 0

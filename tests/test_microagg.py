@@ -5,7 +5,6 @@ import pytest
 
 from tcmicro import (
     AttributeSpec,
-    Cluster,
     Partition,
     Role,
     SynthConfig,
@@ -24,7 +23,7 @@ import tcmicro.kfirst
 import tcmicro.microagg
 import tcmicro.tfirst
 from tcmicro.microagg import seeded_partition, sq_distances
-from util import make_1d_table, make_ranks_table, same_bits
+from util import groups, make_1d_table, make_ranks_table, same_bits
 
 SPECS_2QI = (
     AttributeSpec("a", Role.QUASI_IDENTIFIER),
@@ -44,12 +43,6 @@ def random_table(n, seed):
 
 
 class TestClusterPartition:
-    def test_cluster_rejects_empty_and_duplicates(self):
-        with pytest.raises(ValueError):
-            Cluster([])
-        with pytest.raises(ValueError):
-            Cluster([1, 1, 2])
-
     def test_partition_must_cover(self):
         # two records, so index 1 is missing and index 2 out of range
         with pytest.raises(ValueError, match="cover"):
@@ -75,7 +68,7 @@ class TestClusterPartition:
         first = np.array([4, 0, 2])
         part = Partition([first, [3, 1]])
         assert first.tolist() == [4, 0, 2]
-        assert [c.members.tolist() for c in part.clusters] == [[0, 2, 4], [1, 3]]
+        assert [g.tolist() for g in groups(part)] == [[0, 2, 4], [1, 3]]
         assert part.order.tolist() == [0, 2, 4, 1, 3]
         assert part.starts.tolist() == [0, 3]
         assert part.order.dtype == part.starts.dtype == np.int64
@@ -116,21 +109,20 @@ class TestMdav:
     def test_two_obvious_groups(self):
         t = make_1d_table([1, 2, 3, 101, 102, 103], [1, 2, 3, 4, 5, 6])
         part = mdav_partition(t, minmax_params(t), 3)
-        groups = {tuple(c.members) for c in part.clusters}
-        assert groups == {(0, 1, 2), (3, 4, 5)}
+        assert {tuple(g) for g in groups(part)} == {(0, 1, 2), (3, 4, 5)}
 
     def test_two_groups_is_sse_optimum_by_exhaustion(self):
         t = make_1d_table([1, 2, 3, 101, 102, 103], [1, 2, 3, 4, 5, 6])
         x = normalized_qi(t, minmax_params(t))
 
-        def sse_of(groups):
-            return sum(((x[list(g)] - x[list(g)].mean(0)) ** 2).sum() for g in groups)
+        def sse_of(clusters):
+            return sum(((x[list(g)] - x[list(g)].mean(0)) ** 2).sum() for g in clusters)
 
         best = min(
             sse_of([c, tuple(set(range(6)) - set(c))]) for c in combinations(range(6), 3)
         )
         part = mdav_partition(t, minmax_params(t), 3)
-        assert sse_of([tuple(c.members) for c in part.clusters]) == pytest.approx(best)
+        assert sse_of([tuple(g) for g in groups(part)]) == pytest.approx(best)
 
     def test_residual_absorption(self):
         t = make_ranks_table(7)
@@ -160,7 +152,7 @@ class TestMdav:
         t = random_table(64, 9)
         p1 = mdav_partition(t, minmax_params(t), 5)
         p2 = mdav_partition(t, minmax_params(t), 5)
-        assert [tuple(c.members) for c in p1.clusters] == [tuple(c.members) for c in p2.clusters]
+        assert [tuple(g) for g in groups(p1)] == [tuple(g) for g in groups(p2)]
 
 
 class TestSeededPartition:
@@ -171,7 +163,7 @@ class TestSeededPartition:
         t = make_ranks_table(7)
         x = normalized_qi(t, minmax_params(t))
         part = seeded_partition(x, lambda seed, ids, alive, dist: np.array([seed]))
-        assert [int(c.members[0]) for c in part.clusters] == [0, 6, 1, 5, 2, 4, 3]
+        assert [int(g[0]) for g in groups(part)] == [0, 6, 1, 5, 2, 4, 3]
 
     def test_build_sees_only_unassigned_records(self):
         # ids ascend, alive marks exactly the unassigned records, dead slots
@@ -190,7 +182,7 @@ class TestSeededPartition:
         part = seeded_partition(x, build)
         assert part.sizes() == [3, 3, 3]
         assert [p.size for p in pools] == [9, 6, 3]
-        taken = [set(c.members.tolist()) for c in part.clusters]
+        taken = [set(g.tolist()) for g in groups(part)]
         for pool, before in zip(pools, ([], taken[:1], taken[:2])):
             assert set(pool.tolist()) == set(range(9)).difference(*before)
 
@@ -225,9 +217,7 @@ class TestSeededPartition:
         monkeypatch.setattr(module, "seeded_partition", checked)
         _, got, _ = run(t, 3, 0.15)
         assert len(seeds) >= 10 and max(dead_slots) > 0
-        assert [c.members.tolist() for c in got.clusters] == [
-            c.members.tolist() for c in want.clusters
-        ]
+        assert [g.tolist() for g in groups(got)] == [g.tolist() for g in groups(want)]
 
 
 def assert_row(x, seed, ids, alive, dist):

@@ -24,6 +24,7 @@ from tcmicro import (
     synth_generate,
 )
 from oracles import max_emd_bound
+from util import groups
 
 TABLE = synth_generate(SynthConfig(n=30, qi_count=2, target_correlation=0.52, seed=4))
 RUNS = {
@@ -81,4 +82,4 @@ def test_merge_pass_rejects_nan_tau():
 def test_numpy_integer_k_accepted(pipeline):
     _, want, _ = RUNS[pipeline](TABLE, 3, 0.2)
     _, got, _ = RUNS[pipeline](TABLE, np.int64(3), 0.2)
-    assert [tuple(c.members) for c in got.clusters] == [tuple(c.members) for c in want.clusters]
+    assert [tuple(g) for g in groups(got)] == [tuple(g) for g in groups(want)]

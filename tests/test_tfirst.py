@@ -17,7 +17,7 @@ from tcmicro import (
 )
 from tcmicro.microagg import sq_distances
 from oracles import max_emd_bound
-from util import make_ranks_table
+from util import groups, make_ranks_table
 
 
 def small_table(n=120, seed=3):
@@ -202,5 +202,5 @@ class TestRunTfirst:
         _, part, _ = run_tfirst_algorithm(t, 3, 0.1)
         blocks = [set(s) for s in remaining(split_subsets(t, 5))]
         assert len(part) == 24
-        for c in part.clusters:
-            assert [len(set(c.members) & b) for b in blocks] == [1] * 5
+        for g in groups(part):
+            assert [len(set(g) & b) for b in blocks] == [1] * 5

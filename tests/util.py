@@ -60,6 +60,12 @@ def numpy_rebuild_sides(table: Table, members) -> list[tuple]:
     return sides
 
 
+def groups(partition) -> list[np.ndarray]:
+    """Each cluster's members, ascending, in partition order: the
+    partition's order split at its starts."""
+    return np.split(partition.order, partition.starts[1:])
+
+
 def make_1d_table(qi_values, conf_values) -> Table:
     specs = (
         AttributeSpec("x", Role.QUASI_IDENTIFIER),
